@@ -48,6 +48,12 @@ os.environ.setdefault(
 )
 
 import pytest  # noqa: E402
+from hypothesis import settings  # noqa: E402
+
+# Randomised tests replay the same examples on every run and stay cheap
+# inside the tier-1 timeout; a test's own @settings still overrides.
+settings.register_profile("ci", derandomize=True, max_examples=50, deadline=None)
+settings.load_profile("ci")
 from pyspark.sql import SparkSession  # noqa: E402
 
 

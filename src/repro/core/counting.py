@@ -33,7 +33,7 @@ from pyspark.sql import SparkSession
 
 from repro.core.engine_dfs import DFSEngine
 from repro.core.pattern import Pattern, clique, cycle, motifs
-from repro.core.setops import BACKENDS
+from repro.core.setops import BACKENDS, SegmentedSetOps
 from repro.graph.csr import CSRGraph
 
 #: Canonical 4-motif order (by edge count; the triangular system order).
@@ -57,7 +57,8 @@ def conversion_matrix() -> np.ndarray:
     """M with M[i, j] = #copies of motif i spanning motif j (4-vertex).
 
     ``non_induced = M @ induced``; M is upper-triangular with unit diagonal
-    under the MOTIF4_NAMES order, so induced counts follow by back-substitution.
+    under the MOTIF4_NAMES order, so induced counts follow by back-substitution
+    (``induced_from_non_induced``).
     """
     pats = {p.name: p for p in motifs(4)}
     k = len(MOTIF4_NAMES)
@@ -68,33 +69,64 @@ def conversion_matrix() -> np.ndarray:
     return M
 
 
+def _stats_tasks(U, V, indptr, indices, deg, ops, ctr=None) -> tuple[int, int, int]:
+    """Per-edge stats, task by task with the ``ops`` backend."""
+    t_sum = 0  # sum of t_e  (= 3T)
+    d_sum = 0  # sum of C(t_e, 2)  (= non-induced diamonds)
+    paw3 = 0  # sum over (edge, apex) of (d_u + d_v + d_w - 6)  (= 3*paw)
+    for u, v in zip(U.tolist(), V.tolist()):
+        nu = indices[indptr[u] : indptr[u + 1]]
+        nv = indices[indptr[v] : indptr[v + 1]]
+        w = ops.intersect(nu, nv, ctr)
+        t = len(w)
+        if t:
+            t_sum += t
+            d_sum += t * (t - 1) // 2
+            paw3 += int(deg[w].sum()) + t * int(deg[u] + deg[v] - 6)
+    return t_sum, d_sum, paw3
+
+
+def _stats_batch(U, V, indptr, indices, deg, ctr=None) -> tuple[int, int, int]:
+    """``_stats_tasks`` over slices of edges with segmented set ops:
+    per-edge triangle counts are ``bincount`` over the apexes' edge ids."""
+    seg = SegmentedSetOps
+    t_sum = d_sum = paw3 = 0
+    for a, b in seg.chunks(np.minimum(deg[U], deg[V]), seg.SLICE):
+        u, v = U[a:b], V[a:b]
+        w, e = seg.gather_intersect(indptr, indices, u, v, ctr)
+        t = np.bincount(e, minlength=len(u))
+        t_sum += int(t.sum())
+        d_sum += int((t * (t - 1) // 2).sum())
+        paw3 += int(deg[w].sum()) + int((t * (deg[u] + deg[v] - 6)).sum())
+    return t_sum, d_sum, paw3
+
+
 def _stats_worker(bc, backend: str):
     def worker(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
         indptr, indices = bc.value
-        ops = BACKENDS[backend]
         deg = np.diff(indptr)
-        t_sum = 0  # sum of t_e  (= 3T)
-        d_sum = 0  # sum of C(t_e, 2)  (= non-induced diamonds)
-        paw3 = 0  # sum over (edge, apex) of (d_u + d_v + d_w - 6)  (= 3*paw)
+        sums = [0, 0, 0]
         for pdf in batches:
-            for u, v in zip(pdf["v0"].values, pdf["v1"].values):
-                nu = indices[indptr[u] : indptr[u + 1]]
-                nv = indices[indptr[v] : indptr[v + 1]]
-                w = ops.intersect(nu, nv, None)
-                t = len(w)
-                if t:
-                    t_sum += t
-                    d_sum += t * (t - 1) // 2
-                    paw3 += int(deg[w].sum()) + t * int(deg[u] + deg[v] - 6)
+            U = pdf["v0"].to_numpy(np.int64)
+            V = pdf["v1"].to_numpy(np.int64)
+            if backend == "numpy":
+                part = _stats_batch(U, V, indptr, indices, deg)
+            else:
+                part = _stats_tasks(U, V, indptr, indices, deg, BACKENDS[backend])
+            sums = [x + y for x, y in zip(sums, part)]
+        t_sum, d_sum, paw3 = sums
         yield pd.DataFrame({"t_sum": [t_sum], "d_sum": [d_sum], "paw3": [paw3]})
 
     return worker
 
 
 def edge_triangle_stats(
-    spark: SparkSession, csr: CSRGraph, *, backend: str = "numpy", num_partitions: int = 16
+    spark: SparkSession, csr: CSRGraph, *, backend: str = "numpy"
 ) -> dict[str, int]:
-    """One sweep over the reduced edgelist -> {T, diamond_non, paw_non}."""
+    """One sweep over the reduced edgelist -> {T, diamond_non, paw_non}.
+
+    The numpy backend runs slices of edges as segmented set ops; the
+    scalar backend goes edge by edge."""
     tasks = csr.edge_tasks("gt")
     bc = spark.sparkContext.broadcast((csr.indptr, csr.indices))
     try:
@@ -137,9 +169,7 @@ def count4_counting_only(
     """All six induced 4-motif counts from decompositions + two real
     enumerations (4-clique, 4-cycle)."""
     engine = engine or DFSEngine()
-    stats = edge_triangle_stats(
-        spark, csr, backend=backend, num_partitions=engine.cfg.num_partitions
-    )
+    stats = edge_triangle_stats(spark, csr, backend=backend)
     t = stats["T"]
     deg = csr.degrees.astype(np.int64)
     k4 = engine.count(spark, csr, clique(4))
@@ -148,20 +178,29 @@ def count4_counting_only(
     # Non-induced P4: sum over undirected edges of (d_u-1)(d_v-1) - 3T.
     e = csr.edge_tasks("gt")
     p4_non = int(((deg[e[:, 0]] - 1) * (deg[e[:, 1]] - 1)).sum()) - 3 * t
-    non_induced = np.array(
-        [p4_non, claw_non, stats["paw_non"], c4_non, stats["diamond_non"], k4],
-        dtype=np.int64,
+    return induced_from_non_induced(
+        [p4_non, claw_non, stats["paw_non"], c4_non, stats["diamond_non"], k4]
     )
-    M = conversion_matrix()
-    induced = np.linalg.solve(M.astype(np.float64), non_induced.astype(np.float64))
-    induced = np.rint(induced).astype(np.int64)
-    return dict(zip(MOTIF4_NAMES, induced.tolist()))
+
+
+def induced_from_non_induced(non_induced: list[int]) -> dict[str, int]:
+    """Solve ``non_induced = M @ induced`` (MOTIF4_NAMES order) exactly.
+
+    M is unit upper-triangular, so back-substitution in Python integers
+    needs no division and stays exact at any magnitude (a float64 solve
+    loses counts above 2^53)."""
+    M = conversion_matrix().tolist()
+    k = len(MOTIF4_NAMES)
+    induced = [0] * k
+    for i in reversed(range(k)):
+        induced[i] = int(non_induced[i]) - sum(
+            M[i][j] * induced[j] for j in range(i + 1, k)
+        )
+    return dict(zip(MOTIF4_NAMES, induced))
 
 
 def diamond_counting_only(
-    spark: SparkSession, csr: CSRGraph, *, backend: str = "numpy", num_partitions: int = 16
+    spark: SparkSession, csr: CSRGraph, *, backend: str = "numpy"
 ) -> int:
     """Algorithm 3: edge-induced diamond count = sum_e C(t_e, 2)."""
-    return edge_triangle_stats(
-        spark, csr, backend=backend, num_partitions=num_partitions
-    )["diamond_non"]
+    return edge_triangle_stats(spark, csr, backend=backend)["diamond_non"]

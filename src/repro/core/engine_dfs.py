@@ -8,9 +8,19 @@ the Spark dataflow model):
   chunked round-robin order (SS7.1 policy 3) so contiguous Spark partitions
   receive balanced work.
 - Each partition executes the pattern's *generated kernel* (codegen.py)
-  task-by-task via ``mapInPandas`` against a broadcast CSR — one Spark
-  task = one "GPU", one data-graph task = one "warp", and the vectorised
-  numpy set ops inside the kernel are the intra-warp data parallelism.
+  via ``mapInPandas`` against a broadcast CSR — one Spark task = one
+  "GPU". In edge-parallel mode (G2Miner) the kernel is a *batch kernel*:
+  it takes slices of edge tasks and runs every search level as segmented
+  numpy set ops over the whole slice (``setops.SegmentedSetOps``), the
+  warps' SIMD lanes spread across the slice's tasks. Leaf set ops that do
+  not depend on v_{k-2} are hoisted and run once per task instead of once
+  per candidate (the buffer/reuse analysis). Every list a level gathers
+  (its starting sets; its operands' membership keys, which are searched
+  in place in the CSR when they would not fit) stays within the slice
+  (``SegmentedSetOps.SLICE`` words) plus one row, and each partition's
+  slice is charged to the ledger with the opt-K buffers.
+  Vertex-parallel mode (the CPU systems) runs the per-task kernel root by
+  root with vectorised or scalar set ops.
 - Cliques get the special paths of the paper: orientation (opt A),
   DAG-edge tasks, and local-graph search with the dense bitmap format
   (opts E+F) guarded by the input-aware Delta threshold.
@@ -32,7 +42,7 @@ from repro import memory as memmod
 from repro.core import codegen
 from repro.core.pattern import Pattern, clique
 from repro.core.plan import SearchPlan, build_plan
-from repro.core.setops import BACKENDS, Counter
+from repro.core.setops import BACKENDS, Counter, SegmentedSetOps
 from repro.graph.csr import CSRGraph
 from repro.sched.policies import chunked_round_robin_order
 
@@ -45,7 +55,10 @@ class DFSConfig:
     """
 
     parallelism: str = "edge"  # 'edge' (G2Miner) | 'vertex' (CPU systems)
-    setops: str = "numpy"  # 'numpy' (SIMD/warp analog) | 'python' (scalar)
+    # Per-task set ops of vertex parallelism: 'numpy' (SIMD/warp analog) |
+    # 'python' (scalar). Edge parallelism runs the numpy batch kernel, so
+    # it accepts 'numpy' only.
+    setops: str = "numpy"
     orientation: bool = True  # opt A, cliques
     lgs: bool = True  # opts E+F, cliques
     edgelist_reduction: bool = True  # opt J
@@ -53,6 +66,11 @@ class DFSConfig:
     memory_budget: int = memmod.GPU_MEM_BYTES
     lgs_delta_threshold: int = 4096  # input-aware LGS guard (SS5.4(2))
     chunked_schedule: bool = True  # opt G analog for partition balance
+
+    def __post_init__(self):
+        if self.parallelism == "edge" and self.setops != "numpy":
+            raise ValueError("edge parallelism runs the numpy batch kernel; "
+                             f"setops={self.setops!r} needs parallelism='vertex'")
 
 
 def oriented_clique_plan(k: int) -> SearchPlan:
@@ -78,94 +96,69 @@ def _local_clique_count(A: np.ndarray, s: int) -> int:
     """Count s-cliques in a local DAG adjacency matrix (bitmap format).
 
     ``A[i, j]`` = oriented edge between local vertices i, j, so each clique
-    is generated exactly once in DAG order; the leaf is a popcount — the
-    ``__popc`` analog of SS6.1.
+    is generated exactly once in DAG order. The last two local levels are
+    one matrix product: a 3-clique is an edge i->j closed by a path
+    i->l->j, so their count is ``sum(A * (A @ A))``, a popcount over the
+    bitmap (the ``__popc`` analog of SS6.1).
     """
     if s <= 0:
         return 1 if s == 0 else 0
     if s == 1:
         return A.shape[0]
+    if s == 2:
+        return int(A.sum())
+    if s == 3:
+        M = A.astype(np.float32)  # exact: entries of M @ M are <= Delta
+        return int((M @ M)[A].sum(dtype=np.float64))
+    total = 0
+    for i in range(A.shape[0]):
+        nb = np.flatnonzero(A[i])
+        if len(nb) >= s - 1:
+            total += _local_clique_count(A[np.ix_(nb, nb)], s - 1)
+    return total
 
-    def rec(mask: np.ndarray, depth: int) -> int:
-        if depth == 1:
-            return int(mask.sum())
-        t = 0
-        for i in np.nonzero(mask)[0]:
-            m2 = mask & A[i]
-            if m2.any():
-                t += rec(m2, depth - 1)
-        return t
 
-    return rec(np.ones(A.shape[0], dtype=bool), s)
+def _make_worker(bc, mode: str, kernel: str | int, backend: str = "numpy"):
+    """The ``mapInPandas`` worker of every engine path (one per partition).
 
+    ``mode`` says how a batch of tasks runs: ``"edge"`` hands the whole
+    batch to the generated batch kernel (source ``kernel``);
+    ``"vertex"`` calls the generated per-task kernel once per root with
+    the ``backend`` set ops; ``"lgs"`` counts ``kernel``-cliques by local
+    graph search (opts E+F) around each root.
+    """
 
-# -- mapInPandas workers (module-level for clean pickling) ---------------
-
-def _make_edge_worker(bc, kernel_src: str, backend: str):
     def worker(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
         indptr, indices = bc.value
         ns: dict = {}
-        exec(compile(kernel_src, "<kernel>", "exec"), ns)
-        kernel = ns["kernel"]
+        if mode != "lgs":
+            exec(compile(kernel, "<kernel>", "exec"), ns)
+        run = ns.get("kernel")
+        g = CSRGraph(indptr, indices)
+        deg = g.degrees
         ops = BACKENDS[backend]
         ctr = Counter()
         total = 0
         for pdf in batches:
-            for v0, v1 in zip(pdf["v0"].values, pdf["v1"].values):
-                total += kernel(int(v0), int(v1), indptr, indices, ops, ctr)
+            v0 = pdf["v0"].to_numpy(np.int64)
+            if mode == "edge":
+                v1 = pdf["v1"].to_numpy(np.int64)
+                total += run(v0, v1, indptr, indices, deg, SegmentedSetOps, ctr)
+            elif mode == "vertex":
+                for v in v0.tolist():
+                    total += run(v, indptr, indices, ops, ctr)
+            else:
+                for v in v0.tolist():
+                    L = g.neighbors(v)
+                    if len(L) >= kernel - 1:
+                        ctr.ops += len(L) * len(L)
+                        total += _local_clique_count(g.local_graph(L), kernel - 1)
         yield pd.DataFrame({"cnt": [total], "ops": [ctr.ops]})
 
     return worker
 
 
-def _make_vertex_worker(bc, kernel_src: str, backend: str):
-    def worker(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        indptr, indices = bc.value
-        ns: dict = {}
-        exec(compile(kernel_src, "<kernel>", "exec"), ns)
-        kernel = ns["kernel"]
-        ops = BACKENDS[backend]
-        ctr = Counter()
-        total = 0
-        for pdf in batches:
-            for v0 in pdf["v0"].values:
-                total += kernel(int(v0), indptr, indices, ops, ctr)
-        yield pd.DataFrame({"cnt": [total], "ops": [ctr.ops]})
-
-    return worker
-
-
-def _make_lgs_worker(bc, k: int):
-    """Local-graph-search clique worker (opts E+F): per root vertex, build
-    the induced local DAG among its out-neighbors as a dense bitmap and
-    count (k-1)-cliques inside it."""
-
-    def worker(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        indptr, indices = bc.value
-        total = 0
-        touched = 0
-        for pdf in batches:
-            for v0 in pdf["v0"].values:
-                v0 = int(v0)
-                L = indices[indptr[v0] : indptr[v0 + 1]]
-                d = len(L)
-                if d < k - 1:
-                    continue
-                A = np.zeros((d, d), dtype=bool)
-                for i in range(d):
-                    nb = indices[indptr[L[i]] : indptr[L[i] + 1]]
-                    hit = np.searchsorted(L, nb)
-                    hit[hit == d] = d - 1
-                    ok = L[hit] == nb
-                    A[i, hit[ok]] = True
-                touched += d * d
-                total += _local_clique_count(A, k - 1)
-        yield pd.DataFrame({"cnt": [total], "ops": [touched]})
-
-    return worker
-
-
-def _count_df(spark: SparkSession, tasks: np.ndarray, worker, n_parts: int):
+def _count_df(spark: SparkSession, tasks: np.ndarray, worker):
     """Run ``worker`` over the task array and sum (cnt, ops).
 
     ``createDataFrame`` slices the (already schedule-permuted) task array
@@ -220,8 +213,8 @@ class DFSEngine:
             ):
                 tasks = self._schedule(np.arange(g.n, dtype=np.int64))
                 meter.alloc("tasks", tasks.nbytes)
-                worker = _make_lgs_worker(bc, pattern.k)
-                cnt, ops = _count_df(spark, tasks, worker, cfg.num_partitions)
+                worker = _make_worker(bc, "lgs", pattern.k)
+                cnt, ops = _count_df(spark, tasks, worker)
                 self.last_ops = ops
                 return cnt
 
@@ -243,18 +236,18 @@ class DFSEngine:
                     use_edge = False
             if use_edge:
                 tasks, reduced = self._edge_tasks(g, plan)
-                kernel_src = codegen.kernel_source(
-                    plan, "edge", assume_reduced=reduced
-                )
+                kernel_src = codegen.batch_source(plan, assume_reduced=reduced)
                 # Adaptive buffering (opt K): X buffers of Delta words per
-                # concurrent warp (= partition here).
+                # concurrent warp (= partition here), plus the batch
+                # kernel's slice of flattened elements.
                 meter.alloc("tasks", tasks.nbytes)
                 meter.alloc(
                     "buffers",
-                    plan.num_buffers() * g.max_degree * 8 * cfg.num_partitions,
+                    (plan.num_buffers() * g.max_degree + SegmentedSetOps.SLICE)
+                    * 8 * cfg.num_partitions,
                 )
                 tasks = self._schedule(tasks)
-                worker = _make_edge_worker(bc, kernel_src, cfg.setops)
+                worker = _make_worker(bc, "edge", kernel_src)
             else:
                 tasks = np.arange(g.n, dtype=np.int64)
                 kernel_src = codegen.kernel_source(plan, "vertex")
@@ -264,8 +257,8 @@ class DFSEngine:
                     plan.num_buffers() * g.max_degree * 8 * cfg.num_partitions,
                 )
                 tasks = self._schedule(tasks)
-                worker = _make_vertex_worker(bc, kernel_src, cfg.setops)
-            cnt, ops = _count_df(spark, tasks, worker, cfg.num_partitions)
+                worker = _make_worker(bc, "vertex", kernel_src, cfg.setops)
+            cnt, ops = _count_df(spark, tasks, worker)
             self.last_ops = ops
             return cnt
         finally:

@@ -17,13 +17,16 @@ Preprocessing ports:
                     undirected edge.
 - ``local_graph`` — *local graph search* substrate (opt E): the induced
                     adjacency among a root's neighbors, renamed to
-                    0..d-1, as a dense bitmap (opt F).
+                    0..d-1, as a dense bitmap (opt F), built with one
+                    gather of the neighbours' lists.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
+
+from repro.core.setops import SegmentedSetOps
 
 
 @dataclass
@@ -157,11 +160,11 @@ class CSRGraph:
         """
         d = len(root_nbrs)
         A = np.zeros((d, d), dtype=bool)
-        for i, u in enumerate(root_nbrs):
-            nb = self.neighbors(int(u))
-            hit = np.searchsorted(root_nbrs, nb)
-            ok = (hit < d) & (root_nbrs[np.minimum(hit, d - 1)] == nb)
-            A[i, hit[ok]] = True
+        nb, row = SegmentedSetOps.gather(self.indptr, self.indices, root_nbrs)
+        hit = np.searchsorted(root_nbrs, nb)
+        hit[hit == d] = d - 1
+        ok = root_nbrs[hit] == nb
+        A[row[ok], hit[ok]] = True
         return A
 
 

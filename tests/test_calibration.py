@@ -10,7 +10,10 @@ run. Formulas mirror the engines' ledgers exactly:
 - Pangolin TC (oriented clique): symmetric CSR (DAG built on device) +
   oriented CSR + oriented edgelist.
 - G2Miner TC: oriented CSR + oriented edgelist only (host-side
-  preprocessing + opt J).
+  preprocessing + opt J), plus the batch kernel's slice buffer per
+  partition.
+- G2Miner SL diamond: symmetric CSR + reduced edgelist + opt-K buffers
+  (one Delta-word buffer and the slice per partition).
 - BFS non-clique (3-MC): symmetric CSR + full symmetric edgelist.
 - Pangolin k-CL adds the materialised level lists (triangles x 24 B,
   4-cliques x 32 B).
@@ -20,14 +23,23 @@ run. Formulas mirror the engines' ledgers exactly:
 import numpy as np
 import pytest
 
+from repro.core.engine_dfs import DFSConfig
+from repro.core.pattern import diamond
+from repro.core.plan import build_plan
+from repro.core.setops import SegmentedSetOps
 from repro.graph.csr import build_csr
 from repro.graph.gen import generate_graph
 from repro.memory import CPU_MEM_BYTES, GPU_MEM_BYTES
 
 
+#: The batch kernel's per-partition slice, charged with the opt-K buffers.
+SLICE_BYTES = SegmentedSetOps.SLICE * 8 * DFSConfig().num_partitions
+
+
 @pytest.fixture(scope="module")
 def stats():
     out = {}
+    diamond_buffers = build_plan(diamond(), induced=False).num_buffers()
     for name in ["Lj", "Or", "Tw2", "Tw4", "Fr", "Uk"]:
         e, _ = generate_graph(name)
         g = build_csr(e)
@@ -45,8 +57,10 @@ def stats():
         out[name] = {
             "sym": g.nbytes() + g.edge_tasks("all").nbytes,
             "pang_tc": g.nbytes() + go.nbytes() + go.edge_tasks("all").nbytes,
-            "g2_tc": go.nbytes() + go.edge_tasks("all").nbytes,
-            "g2_red": g.nbytes() + g.edge_tasks("lt").nbytes,
+            "g2_tc": go.nbytes() + go.edge_tasks("all").nbytes + SLICE_BYTES,
+            "g2_red": g.nbytes() + g.edge_tasks("lt").nbytes
+            + diamond_buffers * g.max_degree * 8 * DFSConfig().num_partitions
+            + SLICE_BYTES,
             "tri_list": T * 24,
             "k4_list": k4 * 32,
         }

@@ -50,6 +50,15 @@ def test_matrix_known_entries():
     assert M[i["4-cycle"], i["diamond"]] == 1
 
 
+def test_induced_conversion_exact_above_2_53():
+    """Back-substitution stays exact where a float64 solve rounds."""
+    M = conversion_matrix()
+    induced = [2**53 + 1 + 2 * i for i in range(len(MOTIF4_NAMES))]
+    non = [sum(int(M[i, j]) * induced[j] for j in range(len(induced)))
+           for i in range(len(induced))]
+    assert counting.induced_from_non_induced(non) == dict(zip(MOTIF4_NAMES, induced))
+
+
 # -- decomposed counts vs direct enumeration -----------------------------
 
 def test_count3_counting_only_equals_enumeration(spark, g, engine):

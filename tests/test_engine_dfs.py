@@ -1,6 +1,8 @@
 """DFS engine tests on Spark: every configuration path must produce counts
 equal to the independently generated SQL executed by DuckDB (via
 ``repro.oracle.assert_equivalent``)."""
+import time
+
 import numpy as np
 import pytest
 
@@ -9,9 +11,12 @@ from repro.core import codegen
 from repro.core.engine_dfs import DFSConfig, DFSEngine, _local_clique_count, oriented_clique_plan
 from repro.core.pattern import clique, cycle, diamond, motifs, path
 from repro.core.plan import build_plan
+from repro.core.setops import SegmentedSetOps
 from repro.graph.csr import build_csr
 from repro.graph.gen import adj_pdf, generate_graph
 from repro.oracle import assert_equivalent
+from repro.systems import g2miner
+from repro.timeout import TimeoutError_, run_with_timeout
 
 BIG = 1 << 40
 
@@ -103,6 +108,56 @@ def test_meter_released_after_run(spark, g):
     assert meter.peak > 0
 
 
+class RecordingMeter(memmod.MemoryMeter):
+    def __init__(self, budget):
+        super().__init__(budget)
+        self.allocs = {}
+
+    def alloc(self, what, nbytes):
+        self.allocs[what] = int(nbytes)
+        super().alloc(what, nbytes)
+
+
+def g2miner_diamond_need(g):
+    """G2Miner's ledger for SL diamond: CSR + reduced edgelist + opt-K
+    buffers including the batch kernel's slice."""
+    cfg = DFSConfig()
+    plan = build_plan(diamond(), induced=False)
+    buffers = (plan.num_buffers() * g.max_degree + SegmentedSetOps.SLICE) * 8 * cfg.num_partitions
+    return g.nbytes() + g.edge_tasks("lt").nbytes + buffers, buffers
+
+
+def test_g2miner_ledger_ok_path_charges_slice(spark, g):
+    need, buffers = g2miner_diamond_need(g)
+    meter = RecordingMeter(need)
+    g2miner.make_engine().count(spark, g, diamond(), meter=meter)
+    assert meter.allocs["buffers"] == buffers
+    assert meter.peak == need
+    assert meter.resident == 0
+
+
+def test_g2miner_ledger_oom_path_released(spark, g):
+    need, _ = g2miner_diamond_need(g)
+    meter = memmod.MemoryMeter(need - 1)
+    with pytest.raises(memmod.OutOfMemoryError) as e:
+        g2miner.make_engine().count(spark, g, diamond(), meter=meter)
+    assert e.value.what == "buffers"
+    assert meter.resident == 0
+
+
+def test_g2miner_ledger_timeout_path_released(spark, g):
+    meter = memmod.MemoryMeter(BIG)
+    with pytest.raises(TimeoutError_):
+        run_with_timeout(
+            spark, lambda: g2miner.make_engine().count(spark, g, diamond(), meter=meter), 0.01
+        )
+    deadline = time.time() + 60
+    while (meter.peak == 0 or meter.resident) and time.time() < deadline:
+        time.sleep(0.1)
+    assert meter.peak > 0
+    assert meter.resident == 0
+
+
 def test_last_ops_populated(spark, g):
     eng = DFSEngine(DFSConfig(memory_budget=BIG))
     eng.count(spark, g, clique(3))
@@ -114,6 +169,13 @@ def test_per_task_costs_shape(spark, g):
     costs = eng.per_task_costs(spark, g, clique(3))
     assert len(costs) == g.num_edges
     assert (costs >= 1).all()
+
+
+def test_edge_parallelism_rejects_scalar_setops():
+    """Edge parallelism always runs the numpy batch kernel, so a scalar
+    backend there would be silently ignored."""
+    with pytest.raises(ValueError):
+        DFSConfig(parallelism="edge", setops="python")
 
 
 def test_oriented_clique_plan_structure():
