@@ -1,5 +1,6 @@
 import os
 import sys
+import uuid
 
 
 def _driver_mem() -> str:
@@ -89,3 +90,23 @@ def spark() -> SparkSession:
     )
     yield s
     s.stop()
+
+
+@pytest.fixture
+def count_jobs(spark):
+    """``count_jobs(fn)`` runs ``fn`` under a fresh Spark job group and
+    returns the number of jobs the group launched."""
+    sc = spark.sparkContext
+
+    def run(fn) -> int:
+        group = f"count-jobs-{uuid.uuid4().hex[:8]}"
+        sc.setJobGroup(group, "count jobs")
+        try:
+            fn()
+        finally:
+            sc.setLocalProperty("spark.jobGroup.id", None)
+        # The status store is fed by the listener bus; drain it first.
+        sc._jsc.sc().listenerBus().waitUntilEmpty()
+        return len(sc.statusTracker().getJobIdsForGroup(group))
+
+    return run

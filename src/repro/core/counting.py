@@ -17,21 +17,20 @@ pattern decomposition [82]" and is property-tested against direct induced
 enumeration.
 
 The per-edge triangle statistics pass (``edge_triangle_stats``) is one
-Spark ``mapInPandas`` sweep over the reduced edgelist computing, per edge
-(u, v): t_e = |N(u) ∩ N(v)| and the degree sums over the triangle apexes —
-enough for T, the non-induced diamond count, and the non-induced
-tailed-triangle count in a single pass (the W-buffer reuse of Algorithm 1).
+Spark job (``engine_dfs.run_pass``) over the reduced edgelist computing,
+per edge (u, v): t_e = |N(u) ∩ N(v)| and the degree sums over the
+triangle apexes — enough for T, the non-induced diamond count, and the
+non-induced tailed-triangle count in a single pass (the W-buffer reuse of
+Algorithm 1).
 """
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Iterator
 
 import numpy as np
-import pandas as pd
 from pyspark.sql import SparkSession
 
-from repro.core.engine_dfs import DFSEngine
+from repro.core.engine_dfs import DFSConfig, DFSEngine, run_pass
 from repro.core.pattern import Pattern, clique, cycle, motifs
 from repro.core.setops import BACKENDS, SegmentedSetOps
 from repro.graph.csr import CSRGraph
@@ -101,23 +100,14 @@ def _stats_batch(U, V, indptr, indices, deg, ctr=None) -> tuple[int, int, int]:
     return t_sum, d_sum, paw3
 
 
-def _stats_worker(bc, backend: str):
-    def worker(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        indptr, indices = bc.value
-        deg = np.diff(indptr)
-        sums = [0, 0, 0]
-        for pdf in batches:
-            U = pdf["v0"].to_numpy(np.int64)
-            V = pdf["v1"].to_numpy(np.int64)
-            if backend == "numpy":
-                part = _stats_batch(U, V, indptr, indices, deg)
-            else:
-                part = _stats_tasks(U, V, indptr, indices, deg, BACKENDS[backend])
-            sums = [x + y for x, y in zip(sums, part)]
-        t_sum, d_sum, paw3 = sums
-        yield pd.DataFrame({"t_sum": [t_sum], "d_sum": [d_sum], "paw3": [paw3]})
+def _stats_body(backend: str):
+    def body(g: CSRGraph, tasks: np.ndarray) -> tuple[int, int, int]:
+        U, V = tasks[:, 0], tasks[:, 1]
+        if backend == "numpy":
+            return _stats_batch(U, V, g.indptr, g.indices, g.degrees)
+        return _stats_tasks(U, V, g.indptr, g.indices, g.degrees, BACKENDS[backend])
 
-    return worker
+    return body
 
 
 def edge_triangle_stats(
@@ -126,28 +116,13 @@ def edge_triangle_stats(
     """One sweep over the reduced edgelist -> {T, diamond_non, paw_non}.
 
     The numpy backend runs slices of edges as segmented set ops; the
-    scalar backend goes edge by edge."""
-    tasks = csr.edge_tasks("gt")
-    bc = spark.sparkContext.broadcast((csr.indptr, csr.indices))
-    try:
-        pdf = pd.DataFrame({"v0": tasks[:, 0], "v1": tasks[:, 1]})
-        out = (
-            spark.createDataFrame(pdf)
-            .mapInPandas(
-                _stats_worker(bc, backend), schema="t_sum long, d_sum long, paw3 long"
-            )
-            .groupBy()
-            .sum()
-            .collect()[0]
-        )
-        t_sum, d_sum, paw3 = (int(x or 0) for x in out)
-        return {
-            "T": t_sum // 3,
-            "diamond_non": d_sum,
-            "paw_non": paw3 // 3,
-        }
-    finally:
-        bc.unpersist()
+    scalar backend goes edge by edge. The sweep is one ``run_pass`` job
+    over the chunked-RR bins of the engine's default virtual-GPU count."""
+    t_sum, d_sum, paw3 = run_pass(
+        spark, csr, "gt", _stats_body(backend), ("t_sum", "d_sum", "paw3"),
+        DFSConfig.num_partitions,
+    )
+    return {"T": t_sum // 3, "diamond_non": d_sum, "paw_non": paw3 // 3}
 
 
 def count3_counting_only(

@@ -3,22 +3,25 @@
 Execution model (the warp-centric two-level parallelism of SS5.1, ported to
 the Spark dataflow model):
 
-- *Tasks* are edges (G2Miner default) or root vertices (CPU systems): a
-  numpy task array turned into a Spark DataFrame, pre-permuted with the
-  chunked round-robin order (SS7.1 policy 3) so contiguous Spark partitions
-  receive balanced work.
-- Each partition executes the pattern's *generated kernel* (codegen.py)
-  via ``mapInPandas`` against a broadcast CSR — one Spark task = one
-  "GPU". In edge-parallel mode (G2Miner) the kernel is a *batch kernel*:
-  it takes slices of edge tasks and runs every search level as segmented
-  numpy set ops over the whole slice (``setops.SegmentedSetOps``), the
-  warps' SIMD lanes spread across the slice's tasks. Leaf set ops that do
-  not depend on v_{k-2} are hoisted and run once per task instead of once
-  per candidate (the buffer/reuse analysis). Every list a level gathers
-  (its starting sets; its operands' membership keys, which are searched
-  in place in the CSR when they would not fit) stays within the slice
-  (``SegmentedSetOps.SLICE`` words) plus one row, and each partition's
-  slice is charged to the ledger with the opt-K buffers.
+- *Tasks* are edges (G2Miner default) or root vertices (CPU systems).
+  The driver never builds them: one Spark job (``run_pass``) of
+  ``defaultParallelism`` tasks runs over ``spark.range``, and each Spark
+  task builds the task list (Omega, or the roots) from the broadcast CSR
+  and keeps its share of the chunked round-robin bins (SS7.1 policy 3),
+  the way each GPU takes its share of Omega on the device. The driver
+  collects one row per Spark task and sums them.
+- Each Spark task executes the pattern's *generated kernel* (codegen.py)
+  against the broadcast CSR. In edge-parallel mode (G2Miner) the kernel
+  is a *batch kernel*: it takes slices of edge tasks and runs every search
+  level as segmented numpy set ops over the whole slice
+  (``setops.SegmentedSetOps``), the warps' SIMD lanes spread across the
+  slice's tasks. Leaf set ops that do not depend on v_{k-2} are hoisted
+  and run once per task instead of once per candidate (the buffer/reuse
+  analysis). Every list a level gathers (its starting sets; its operands'
+  membership keys, which are searched in place in the CSR when they would
+  not fit) stays within the slice (``SegmentedSetOps.SLICE`` words) plus
+  one row, and each virtual GPU's slice is charged to the ledger with the
+  opt-K buffers.
   Vertex-parallel mode (the CPU systems) runs the per-task kernel root by
   root with vectorised or scalar set ops.
 - Cliques get the special paths of the paper: orientation (opt A),
@@ -44,7 +47,7 @@ from repro.core.pattern import Pattern, clique
 from repro.core.plan import SearchPlan, build_plan
 from repro.core.setops import BACKENDS, Counter, SegmentedSetOps
 from repro.graph.csr import CSRGraph
-from repro.sched.policies import chunked_round_robin_order
+from repro.sched.policies import assign, chunked_round_robin_order
 
 
 @dataclass
@@ -62,6 +65,9 @@ class DFSConfig:
     orientation: bool = True  # opt A, cliques
     lgs: bool = True  # opts E+F, cliques
     edgelist_reduction: bool = True  # opt J
+    # Virtual-GPU count: it sizes the ledger's opt-K buffers (one set per
+    # GPU) and the chunked-RR bins. Spark runs defaultParallelism tasks,
+    # each taking a contiguous group of these bins.
     num_partitions: int = 16
     memory_budget: int = memmod.GPU_MEM_BYTES
     lgs_delta_threshold: int = 4096  # input-aware LGS guard (SS5.4(2))
@@ -118,58 +124,104 @@ def _local_clique_count(A: np.ndarray, s: int) -> int:
     return total
 
 
-def _make_worker(bc, mode: str, kernel: str | int, backend: str = "numpy"):
-    """The ``mapInPandas`` worker of every engine path (one per partition).
+CHUNK = 32  # chunked-RR chunk (tasks), SS7.1 policy 3
+COLS = ("cnt", "ops")  # the row every engine pass yields per Spark task
+#: Ledger bytes per task: an Omega row is two int64 vertex ids, a root one.
+EDGE_TASK_BYTES, ROOT_BYTES = 16, 8
 
-    ``mode`` says how a batch of tasks runs: ``"edge"`` hands the whole
-    batch to the generated batch kernel (source ``kernel``);
-    ``"vertex"`` calls the generated per-task kernel once per root with
-    the ``backend`` set ops; ``"lgs"`` counts ``kernel``-cliques by local
-    graph search (opts E+F) around each root.
+
+def task_slice(m: int, s: int, n_tasks: int, n_bins: int | None) -> np.ndarray:
+    """Which of ``m`` tasks Spark task ``s`` (of ``n_tasks``) runs, as
+    indices into the task list.
+
+    With ``n_bins`` the tasks fall into chunked-RR bins (``assign``, chunk
+    ``CHUNK``) and task ``s`` takes the contiguous group of bins ``b`` with
+    ``b * n_tasks // n_bins == s``, in the bin-major order of
+    ``chunked_round_robin_order``. Without, it takes an even contiguous
+    range of the task list.
     """
+    if n_bins is None:
+        return np.arange(s * m // n_tasks, (s + 1) * m // n_tasks)
+    sizes = np.bincount(assign(m, n_bins, "chunked_rr", chunk=CHUNK), minlength=n_bins)
+    cut = np.concatenate([[0], np.cumsum(sizes)])
+    lo, hi = -(-s * n_bins // n_tasks), -(-(s + 1) * n_bins // n_tasks)
+    return chunked_round_robin_order(m, n_bins, chunk=CHUNK)[cut[lo] : cut[hi]]
+
+
+def worker_tasks(g: CSRGraph, kind: str, s: int, n_tasks: int, n_bins: int | None):
+    """The task array Spark task ``s`` builds from the CSR and runs:
+    Omega under edgelist-reduction mode ``kind`` (``CSRGraph.edge_tasks``),
+    or every vertex as a root for ``kind="vertex"``."""
+    tasks = np.arange(g.n, dtype=np.int64) if kind == "vertex" else g.edge_tasks(kind)
+    return tasks[task_slice(len(tasks), s, n_tasks, n_bins)]
+
+
+def run_pass(spark: SparkSession, g: CSRGraph, kind: str, body, cols: tuple[str, ...],
+             n_bins: int | None) -> list[int]:
+    """One Spark job over the tasks of ``kind``: sums of ``body``'s columns.
+
+    The CSR is broadcast and ``spark.range`` launches ``defaultParallelism``
+    Spark tasks; each builds its slice of the task list (``worker_tasks``)
+    and yields one row, ``body(g, tasks)``. The driver collects the rows
+    and sums them as Python ints.
+    """
+    n_tasks = spark.sparkContext.defaultParallelism
+    directed = g.directed
+    bc = spark.sparkContext.broadcast((g.indptr, g.indices))
 
     def worker(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
         indptr, indices = bc.value
+        wg = CSRGraph(indptr, indices, directed=directed)
+        for pdf in batches:
+            for s in pdf["id"].tolist():
+                tasks = worker_tasks(wg, kind, s, n_tasks, n_bins)
+                yield pd.DataFrame([body(wg, tasks)], columns=list(cols))
+
+    try:
+        rows = (
+            spark.range(n_tasks, numPartitions=n_tasks)
+            .mapInPandas(worker, schema=", ".join(f"{c} long" for c in cols))
+            .collect()
+        )
+    finally:
+        bc.unpersist()
+    return [sum(int(r[c]) for r in rows) for c in cols]
+
+
+def _make_worker(mode: str, kernel: str | int, backend: str = "numpy"):
+    """The per-Spark-task body of every engine path: ``(g, tasks) -> (cnt, ops)``.
+
+    ``mode`` says how the tasks run: ``"edge"`` hands them all to the
+    generated batch kernel (source ``kernel``); ``"vertex"`` calls the
+    generated per-task kernel once per root with the ``backend`` set ops;
+    ``"lgs"`` counts ``kernel``-cliques by local graph search (opts E+F)
+    around each root.
+    """
+
+    def body(g: CSRGraph, tasks: np.ndarray) -> tuple[int, int]:
         ns: dict = {}
         if mode != "lgs":
             exec(compile(kernel, "<kernel>", "exec"), ns)
         run = ns.get("kernel")
-        g = CSRGraph(indptr, indices)
-        deg = g.degrees
+        indptr, indices = g.indptr, g.indices
         ops = BACKENDS[backend]
         ctr = Counter()
         total = 0
-        for pdf in batches:
-            v0 = pdf["v0"].to_numpy(np.int64)
-            if mode == "edge":
-                v1 = pdf["v1"].to_numpy(np.int64)
-                total += run(v0, v1, indptr, indices, deg, SegmentedSetOps, ctr)
-            elif mode == "vertex":
-                for v in v0.tolist():
-                    total += run(v, indptr, indices, ops, ctr)
-            else:
-                for v in v0.tolist():
-                    L = g.neighbors(v)
-                    if len(L) >= kernel - 1:
-                        ctr.ops += len(L) * len(L)
-                        total += _local_clique_count(g.local_graph(L), kernel - 1)
-        yield pd.DataFrame({"cnt": [total], "ops": [ctr.ops]})
+        if mode == "edge":
+            total = run(tasks[:, 0], tasks[:, 1], indptr, indices, g.degrees,
+                        SegmentedSetOps, ctr)
+        elif mode == "vertex":
+            for v in tasks.tolist():
+                total += run(v, indptr, indices, ops, ctr)
+        else:
+            for v in tasks.tolist():
+                L = g.neighbors(v)
+                if len(L) >= kernel - 1:
+                    ctr.ops += len(L) * len(L)
+                    total += _local_clique_count(g.local_graph(L), kernel - 1)
+        return total, ctr.ops
 
-    return worker
-
-
-def _count_df(spark: SparkSession, tasks: np.ndarray, worker):
-    """Run ``worker`` over the task array and sum (cnt, ops).
-
-    ``createDataFrame`` slices the (already schedule-permuted) task array
-    into ~defaultParallelism contiguous Arrow batches — that slicing IS
-    the task-to-device assignment, so no extra shuffle is issued.
-    """
-    cols = ["v0"] if tasks.ndim == 1 else ["v0", "v1"]
-    pdf = pd.DataFrame(tasks.reshape(len(tasks), -1), columns=cols)
-    out = spark.createDataFrame(pdf).mapInPandas(worker, schema="cnt long, ops long")
-    rows = out.groupBy().sum("cnt", "ops").collect()[0]
-    return int(rows[0] or 0), int(rows[1] or 0)
+    return body
 
 
 class DFSEngine:
@@ -198,12 +250,12 @@ class DFSEngine:
         """
         meter = meter or memmod.MemoryMeter(self.cfg.memory_budget)
         cfg = self.cfg
+        n_bins = cfg.num_partitions if cfg.chunked_schedule else None
         # For cliques, vertex- and edge-induced matches coincide (SS2.1),
         # so orientation applies regardless of the induced flag.
         use_orient = pattern.is_clique() and cfg.orientation
         g = csr.orient() if use_orient else csr
         meter.alloc("csr", g.nbytes())
-        bc = spark.sparkContext.broadcast((g.indptr, g.indices))
         try:
             if (
                 use_orient
@@ -211,11 +263,9 @@ class DFSEngine:
                 and pattern.k >= 4
                 and g.max_degree <= cfg.lgs_delta_threshold
             ):
-                tasks = self._schedule(np.arange(g.n, dtype=np.int64))
-                meter.alloc("tasks", tasks.nbytes)
-                worker = _make_worker(bc, "lgs", pattern.k)
-                cnt, ops = _count_df(spark, tasks, worker)
-                self.last_ops = ops
+                meter.alloc("tasks", ROOT_BYTES * g.n)
+                body = _make_worker("lgs", pattern.k)
+                cnt, self.last_ops = run_pass(spark, g, "vertex", body, COLS, n_bins)
                 return cnt
 
             plan = (
@@ -231,38 +281,33 @@ class DFSEngine:
                 # device budget next to G. The paper's escape hatch is the
                 # vertex-parallel mode, "in which case Omega is not
                 # generated to save memory" — take it automatically.
-                probe, _ = self._edge_tasks(g, plan)
-                if meter.resident + probe.nbytes > meter.budget:
-                    use_edge = False
+                kind, reduced = self._edge_mode(g, plan)
+                omega_bytes = EDGE_TASK_BYTES * g.num_edge_tasks(kind)
+                use_edge = meter.resident + omega_bytes <= meter.budget
             if use_edge:
-                tasks, reduced = self._edge_tasks(g, plan)
                 kernel_src = codegen.batch_source(plan, assume_reduced=reduced)
                 # Adaptive buffering (opt K): X buffers of Delta words per
-                # concurrent warp (= partition here), plus the batch
+                # concurrent warp (= virtual GPU here), plus the batch
                 # kernel's slice of flattened elements.
-                meter.alloc("tasks", tasks.nbytes)
+                meter.alloc("tasks", omega_bytes)
                 meter.alloc(
                     "buffers",
                     (plan.num_buffers() * g.max_degree + SegmentedSetOps.SLICE)
                     * 8 * cfg.num_partitions,
                 )
-                tasks = self._schedule(tasks)
-                worker = _make_worker(bc, "edge", kernel_src)
+                body = _make_worker("edge", kernel_src)
             else:
-                tasks = np.arange(g.n, dtype=np.int64)
+                kind = "vertex"
                 kernel_src = codegen.kernel_source(plan, "vertex")
-                meter.alloc("tasks", tasks.nbytes)
+                meter.alloc("tasks", ROOT_BYTES * g.n)
                 meter.alloc(
                     "buffers",
                     plan.num_buffers() * g.max_degree * 8 * cfg.num_partitions,
                 )
-                tasks = self._schedule(tasks)
-                worker = _make_worker(bc, "vertex", kernel_src, cfg.setops)
-            cnt, ops = _count_df(spark, tasks, worker)
-            self.last_ops = ops
+                body = _make_worker("vertex", kernel_src, cfg.setops)
+            cnt, self.last_ops = run_pass(spark, g, kind, body, COLS, n_bins)
             return cnt
         finally:
-            bc.unpersist()
             meter.free("csr")
             meter.free("tasks")
             meter.free("buffers")
@@ -275,27 +320,18 @@ class DFSEngine:
 
     # -- internals -------------------------------------------------------
 
-    def _edge_tasks(self, g: CSRGraph, plan: SearchPlan) -> tuple[np.ndarray, bool]:
-        """Task edgelist Omega with edgelist reduction (opt J) when the
-        symmetry order covers (v0, v1). Returns (tasks, reduced?)."""
+    def _edge_mode(self, g: CSRGraph, plan: SearchPlan) -> tuple[str, bool]:
+        """The ``CSRGraph.edge_tasks`` mode of the task edgelist Omega, with
+        edgelist reduction (opt J) when the symmetry order covers
+        (v0, v1). Returns (mode, reduced?)."""
         if g.directed:
-            return g.edge_tasks("all"), True
+            return "all", True
         if self.cfg.edgelist_reduction:
             if (0, 1) in plan.sym:
-                return g.edge_tasks("lt"), True
+                return "lt", True
             if (1, 0) in plan.sym:
-                return g.edge_tasks("gt"), True
-        return g.edge_tasks("all"), False
-
-    def _schedule(self, tasks: np.ndarray) -> np.ndarray:
-        """Apply the chunked round-robin permutation (SS7.1 policy 3) so
-        contiguous partitions get interleaved (balanced) work."""
-        if not self.cfg.chunked_schedule or len(tasks) == 0:
-            return tasks
-        perm = chunked_round_robin_order(
-            len(tasks), self.cfg.num_partitions, chunk=32
-        )
-        return tasks[perm]
+                return "gt", True
+        return "all", False
 
     def per_task_costs(
         self, spark: SparkSession, csr: CSRGraph, pattern: Pattern, *, induced: bool = False
@@ -304,7 +340,7 @@ class DFSEngine:
         the multi-GPU scheduling simulation uses (Fig 9/10 substance)."""
         plan = build_plan(pattern, induced=induced)
         kernel = codegen.compile_kernel(plan, "edge", assume_reduced=True)
-        tasks, _ = self._edge_tasks(csr, plan)
+        tasks = csr.edge_tasks(self._edge_mode(csr, plan)[0])
         ops = BACKENDS["numpy"]
         costs = np.zeros(len(tasks), dtype=np.int64)
         indptr, indices = csr.indptr, csr.indices

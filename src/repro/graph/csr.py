@@ -150,6 +150,15 @@ class CSRGraph:
             return np.stack([src[keep], dst[keep]], axis=1)
         return np.stack([src, dst], axis=1)
 
+    def num_edge_tasks(self, mode: str = "all") -> int:
+        """Row count of ``edge_tasks(mode)``, counted without building it."""
+        if mode not in ("all", "lt", "gt"):
+            raise ValueError(f"bad mode {mode!r}")
+        if mode == "all" or self.directed:
+            return self.num_edges_stored
+        src = np.repeat(np.arange(self.n), self.degrees)
+        return int(np.count_nonzero(src < self.indices if mode == "lt" else src > self.indices))
+
     def local_graph(self, root_nbrs: np.ndarray) -> np.ndarray:
         """Local graph construction (opt E+F): dense boolean adjacency among
         ``root_nbrs`` (renamed to 0..d-1), the Fig. 7 structure.

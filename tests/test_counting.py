@@ -107,3 +107,7 @@ def test_stats_keys(spark, g):
     stats = counting.edge_triangle_stats(spark, g)
     assert set(stats) == {"T", "diamond_non", "paw_non"}
     assert all(v >= 0 for v in stats.values())
+
+
+def test_edge_triangle_stats_is_one_job(spark, g, count_jobs):
+    assert count_jobs(lambda: counting.edge_triangle_stats(spark, g)) == 1

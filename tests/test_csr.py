@@ -107,13 +107,13 @@ def test_rename_preserves_triangle_count(g):
 
 def test_edge_tasks_all(g):
     t = g.edge_tasks("all")
-    assert len(t) == g.num_edges_stored
+    assert len(t) == g.num_edges_stored == g.num_edge_tasks("all")
 
 
 @pytest.mark.parametrize("mode", ["lt", "gt"])
 def test_edge_tasks_reduced_halves(g, mode):
     t = g.edge_tasks(mode)
-    assert len(t) == g.num_edges
+    assert len(t) == g.num_edges == g.num_edge_tasks(mode)
     if mode == "lt":
         assert (t[:, 0] < t[:, 1]).all()
     else:
@@ -123,11 +123,13 @@ def test_edge_tasks_reduced_halves(g, mode):
 def test_edge_tasks_bad_mode(g):
     with pytest.raises(ValueError):
         g.edge_tasks("xx")
+    with pytest.raises(ValueError):
+        g.num_edge_tasks("xx")
 
 
 def test_oriented_tasks_already_reduced(g):
     go = g.orient()
-    assert len(go.edge_tasks("lt")) == go.num_edges_stored
+    assert len(go.edge_tasks("lt")) == go.num_edges_stored == go.num_edge_tasks("lt")
 
 
 # -- local graphs (opts E+F) ---------------------------------------------

@@ -15,7 +15,7 @@ from repro.core.setops import SegmentedSetOps
 from repro.graph.csr import build_csr
 from repro.graph.gen import adj_pdf, generate_graph
 from repro.oracle import assert_equivalent
-from repro.systems import g2miner
+from repro.systems import g2miner, graphzero
 from repro.timeout import TimeoutError_, run_with_timeout
 
 BIG = 1 << 40
@@ -151,11 +151,27 @@ def test_g2miner_ledger_timeout_path_released(spark, g):
         run_with_timeout(
             spark, lambda: g2miner.make_engine().count(spark, g, diamond(), meter=meter), 0.01
         )
+    tracker = spark.sparkContext.statusTracker()
     deadline = time.time() + 60
-    while (meter.peak == 0 or meter.resident) and time.time() < deadline:
+    while (
+        meter.peak == 0 or meter.resident or tracker.getActiveJobsIds()
+    ) and time.time() < deadline:
         time.sleep(0.1)
     assert meter.peak > 0
     assert meter.resident == 0
+    assert list(tracker.getActiveJobsIds()) == []
+
+
+@pytest.mark.parametrize(
+    "make,k",
+    [(g2miner.make_engine, 3), (g2miner.make_engine, 4), (graphzero.make_engine, 3)],
+    ids=["g2miner-tc", "lgs-4cl", "graphzero-vertex-tc"],
+)
+def test_engine_pass_is_one_spark_job(spark, count_jobs, make, k):
+    """Tasks are built inside the workers and per-task rows collected
+    directly: no task DataFrame and no aggregation job."""
+    tiny = build_csr(generate_graph("tiny")[0])
+    assert count_jobs(lambda: make().count(spark, tiny, clique(k))) == 1
 
 
 def test_last_ops_populated(spark, g):
