@@ -1,36 +1,22 @@
 """Shared cell-benchmark body for the per-table benchmark modules."""
 from __future__ import annotations
 
-from repro import paper_numbers as paper
-from repro.harness import paper_key, run_cell
+from repro.harness import cell_record, run_cell
 
 
 def bench_cell(
-    spark, benchmark, record, table: str, paper_tbl: dict,
+    spark, benchmark, record, table: str,
     system: str, workload: tuple, graph: str, timeout_s: float,
 ) -> None:
     """Run one table cell under pytest-benchmark (single round) and record
-    ours-vs-paper. OoM/TO are valid outcomes (they ARE the paper's cells);
+    its cell record. OoM/TO are valid outcomes (they ARE the paper's cells);
     only unexpected errors fail the benchmark."""
     result = benchmark.pedantic(
         lambda: run_cell(spark, system, workload, graph, timeout_s=timeout_s),
         rounds=1,
         iterations=1,
     )
-    row = {
-        "system": system,
-        "workload": "/".join(str(w) for w in workload),
-        "graph": graph,
-        "status": result.status,
-        "seconds": round(result.seconds, 3),
-        "value": result.value if not isinstance(result.value, dict) else sum(result.value.values()),
-    }
-    key = paper_key(
-        {"workload": row["workload"], "graph": graph}
-    )
-    pv = paper_tbl.get(system, {}).get(key, "-")
-    row["paper"] = pv
-    record(table, row)
+    record(table, cell_record(system, workload, graph, result))
     assert result.status in ("ok", "OoM", "TO"), result.detail
     if result.status == "ok":
         assert result.value is not None

@@ -2,14 +2,12 @@
 import pytest
 
 from _bench_common import bench_cell
-from repro import paper_numbers as paper
-from repro.harness import table7_cells
+from repro.harness import table7_cells, workload_name
 
 CELLS = table7_cells()
-IDS = [f"{s}-{'/'.join(str(x) for x in w)}-{g}" for (s, w, g) in CELLS]
+IDS = [f"{s}-{workload_name(w)}-{g}" for (s, w, g) in CELLS]
 
 
 @pytest.mark.parametrize("system,workload,graph", CELLS, ids=IDS)
 def test_table7(spark, benchmark, record, cell_timeout, system, workload, graph):
-    bench_cell(spark, benchmark, record, "table7", paper.TABLE7,
-               system, workload, graph, cell_timeout)
+    bench_cell(spark, benchmark, record, "table7", system, workload, graph, cell_timeout)

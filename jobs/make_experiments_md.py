@@ -1,7 +1,8 @@
 """Format benchmarks/results/*.csv into the EXPERIMENTS.md result tables.
 
 Run after ``pytest benchmarks/ --benchmark-only``; rewrites everything in
-EXPERIMENTS.md below the ``<!-- RESULTS -->`` marker.
+EXPERIMENTS.md below the ``<!-- RESULTS -->`` marker. Cells and headings
+come from ``repro.harness`` (``fmt_cell``, ``fmt_paper``, ``TABLES``).
 """
 from __future__ import annotations
 
@@ -9,27 +10,11 @@ import os
 
 import pandas as pd
 
+from repro.harness import TABLES, fmt_cell, fmt_paper
+
 ROOT = os.path.join(os.path.dirname(__file__), "..")
 RESULTS = os.path.join(ROOT, "benchmarks", "results")
-
-TABLES = [
-    ("table4", "Table 4 — Triangle counting (TC), seconds"),
-    ("table5", "Table 5 — k-clique listing (k-CL), seconds"),
-    ("table6", "Table 6 — Subgraph listing (SL), seconds"),
-    ("table7", "Table 7 — k-motif counting (k-MC), seconds"),
-    ("table8", "Table 8 — 3-FSM (σ scaled ÷100), seconds"),
-    ("table9", "Table 9 — Counting-only pruning enabled, seconds"),
-]
-
-
-def cell_text(row) -> str:
-    ours = row["status"] if row["status"] != "ok" else f"{row['seconds']:.2f}"
-    pv = row["paper"]
-    try:
-        pv = f"{float(pv):g}"
-    except (TypeError, ValueError):
-        pv = str(pv)
-    return f"{ours} / {pv}"
+MARKER = "<!-- RESULTS -->"
 
 
 def render(name: str, title: str) -> str:
@@ -46,7 +31,11 @@ def render(name: str, title: str) -> str:
              "|" + "---|" * (len(cols) + 1)]
     for s in systems:
         sub = df[df["system"] == s].set_index("cell")
-        vals = [cell_text(sub.loc[c]) if c in sub.index else "-" for c in cols]
+        vals = [
+            f"{fmt_cell(sub.loc[c])} / {fmt_paper(sub.loc[c, 'paper'])}"
+            if c in sub.index else "-"
+            for c in cols
+        ]
         lines.append(f"| {s} | " + " | ".join(vals) + " |")
     lines.append("")
     return "\n".join(lines)
@@ -73,16 +62,21 @@ def render_sched() -> str:
     return "\n".join(lines)
 
 
+def results_section() -> str:
+    """Everything EXPERIMENTS.md holds below the results marker."""
+    parts = ["", ""]
+    for no, (_, _, title) in TABLES.items():
+        parts.append(render(f"table{no}", f"Table {no} — {title}, seconds"))
+    parts.append(render_sched())
+    return "\n".join(parts)
+
+
 def main():
     md_path = os.path.join(ROOT, "EXPERIMENTS.md")
     with open(md_path) as f:
-        head = f.read().split("<!-- RESULTS -->")[0]
-    parts = [head + "<!-- RESULTS -->", ""]
-    for name, title in TABLES:
-        parts.append(render(name, title))
-    parts.append(render_sched())
+        head = f.read().split(MARKER)[0]
     with open(md_path, "w") as f:
-        f.write("\n".join(parts))
+        f.write(head + MARKER + results_section())
     print(f"wrote {md_path}")
 
 

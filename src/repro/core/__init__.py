@@ -6,7 +6,7 @@
 - ``codegen``    — pattern-aware code generation: executable DFS programs
                    and generated SQL (the CUDA-kernel analog).
 - ``setops``     — the device-primitive library: vectorised / scalar /
-                   bitmap set operations.
+                   segmented set operations.
 - ``engine_dfs`` — the G2Miner execution engine: warp-centric (task-batched)
                    DFS over Spark with edge/vertex parallelism, LGS, etc.
 - ``engine_bfs`` — the Pangolin/PBE-style BFS engine as Catalyst join chains.

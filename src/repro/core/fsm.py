@@ -29,10 +29,12 @@ System variants (Table 8):
 """
 from __future__ import annotations
 
+import numpy as np
 import pandas as pd
 from pyspark.sql import SparkSession
 
 from repro import memory as memmod
+from repro.graph.csr import CSRGraph
 
 #: Python-object overhead factor for DistGraph's in-RAM embedding store
 #: (a 3-tuple of boxed ints is ~6x the packed 24 bytes).
@@ -130,20 +132,32 @@ def _frequent(pdf: pd.DataFrame, sigma: int) -> pd.DataFrame:
     return out[["pattern", "support"]]
 
 
+def frames(csr: CSRGraph) -> tuple[pd.DataFrame, pd.DataFrame]:
+    """The ``adj(src, dst)`` and ``labels(v, label)`` tables of a labeled
+    symmetric CSR graph: both directions of every edge in (src, dst) order,
+    row for row the frames ``gen.adj_pdf`` / ``gen.labels_pdf`` generate."""
+    adj = pd.DataFrame(
+        {"src": np.repeat(np.arange(csr.n), csr.degrees), "dst": csr.indices}
+    )
+    labels = pd.DataFrame({"v": np.arange(len(csr.labels)), "label": csr.labels})
+    return adj, labels
+
+
 def fsm3(
     spark: SparkSession,
-    adj: pd.DataFrame,
-    labels: pd.DataFrame,
+    csr: CSRGraph,
     sigma: int,
     *,
     variant: str = "g2miner",
     meter: memmod.MemoryMeter | None = None,
 ) -> pd.DataFrame:
-    """Run 3-FSM, returning the frequent (pattern, support) table.
+    """Run 3-FSM on a labeled graph, returning the frequent (pattern,
+    support) table.
 
     All variants return identical results; they differ in execution shape
     and memory behaviour, which is what Table 8 measures.
     """
+    adj, labels = frames(csr)
     if variant == "g2miner":
         return _fsm_g2miner(spark, adj, labels, sigma, meter)
     if variant == "pangolin":

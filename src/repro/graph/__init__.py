@@ -3,8 +3,8 @@
 This package is the reproduction's stand-in for G2Miner's *graph loader and
 preprocessor* (paper SS4.2): loading a data graph into CSR, extracting input
 information (|V|, |E|, max degree, label frequencies) and performing
-pattern-specific preprocessing (orientation, neighbor-list sorting, vertex
-renaming, edgelist reduction).
+pattern-specific preprocessing (orientation, neighbor-list sorting,
+edgelist reduction).
 """
 from repro.graph.csr import CSRGraph, build_csr  # noqa: F401
 from repro.graph.gen import GRAPHS, LABELED_GRAPHS, generate_graph  # noqa: F401

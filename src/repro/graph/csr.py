@@ -11,10 +11,9 @@ Preprocessing ports:
 - ``orient``      — *orientation* (opt A): convert the undirected graph into
                     a DAG by (degree, id) order; halves the edges, shrinks
                     Delta, removes on-the-fly symmetry checks for cliques.
-- ``rename_by_degree`` — sorting/renaming vertices (SS4.2 / SS8.4).
-- ``reduced_edge_tasks`` — *edgelist reduction* (opt J): when the symmetry
-                    order includes v0 > v1, keep one instance per
-                    undirected edge.
+- ``edge_tasks``  — the task edgelist Omega, with *edgelist reduction*
+                    (opt J): when the symmetry order includes v0 < v1 (or
+                    v0 > v1), keep one instance per undirected edge.
 - ``local_graph`` — *local graph search* substrate (opt E): the induced
                     adjacency among a root's neighbors, renamed to
                     0..d-1, as a dense bitmap (opt F), built with one
@@ -112,23 +111,6 @@ class CSRGraph:
             directed=True,
             symmetrize=False,
             orient_rank=rank,
-        )
-
-    def rename_by_degree(self) -> "CSRGraph":
-        """Renaming/sorting (SS4.2): relabel vertices by descending degree so
-        hub vertices get small, contiguous ids (locality/load-balance)."""
-        if self.directed:
-            raise ValueError("rename before orientation")
-        order = np.lexsort((np.arange(self.n), -self.degrees))
-        new_id = np.empty(self.n, dtype=np.int64)
-        new_id[order] = np.arange(self.n)
-        deg = self.degrees
-        src = new_id[np.repeat(np.arange(self.n), deg)]
-        dst = new_id[self.indices]
-        lab = self.labels[order] if self.labels is not None else None
-        keep = src < dst
-        return build_csr(
-            np.stack([src[keep], dst[keep]], axis=1), n=self.n, labels=lab
         )
 
     def edge_tasks(self, mode: str = "all") -> np.ndarray:

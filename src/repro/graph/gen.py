@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
 
 
 @dataclass(frozen=True)
@@ -185,8 +184,8 @@ def edges_pdf(name: str) -> pd.DataFrame:
 def adj_pdf(name: str) -> pd.DataFrame:
     """Symmetric adjacency as pandas: both (u,v) and (v,u) rows.
 
-    This is the table registered with DuckDB as ``adj`` in oracle tests and
-    created as a Spark view for the BFS (Catalyst) engines.
+    This is the table registered with DuckDB as ``adj`` in oracle tests;
+    ``fsm.frames`` builds the same rows from the cached CSR.
     """
     e, _ = generate_graph(name)
     both = np.concatenate([e, e[:, ::-1]])
@@ -199,13 +198,3 @@ def labels_pdf(name: str) -> pd.DataFrame:
     spec = _spec(name)
     _, lab = generate_graph(name)
     return pd.DataFrame({"v": np.arange(spec.n, dtype=np.int64), "label": lab})
-
-
-def edges_df(spark: SparkSession, name: str) -> DataFrame:
-    """Edge list as a Spark DataFrame (``src < dst``)."""
-    return spark.createDataFrame(edges_pdf(name))
-
-
-def adj_df(spark: SparkSession, name: str) -> DataFrame:
-    """Symmetric adjacency as a Spark DataFrame."""
-    return spark.createDataFrame(adj_pdf(name))

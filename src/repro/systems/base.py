@@ -2,7 +2,7 @@
 
 A ``System`` bundles an engine factory with the capability flags the paper
 reports in Table 1 (which workloads each system supports) plus its FSM
-variant and counting-only backend. Registration happens at import of each
+variant. Registration happens at import of each
 ``repro.systems.<name>`` module.
 """
 from __future__ import annotations
@@ -20,8 +20,6 @@ class System:
     make_engine: Callable  # () -> DFSEngine | BFSEngine
     supports: frozenset[str]  # of {'tc','kcl','sl','mc','fsm','counting'}
     fsm_variant: str | None = None
-    setops_backend: str = "numpy"  # backend for counting-only sweeps
-    platform: str = "GPU"  # cosmetic: matches the paper's (G)/(C) tags
 
 
 SYSTEMS: dict[str, System] = {}

@@ -20,6 +20,5 @@ SYSTEM = register(
         make_engine=make_engine,
         supports=frozenset({"fsm"}),
         fsm_variant="distgraph",
-        platform="CPU",
     )
 )

@@ -31,7 +31,5 @@ SYSTEM = register(
         make_engine=make_engine,
         supports=frozenset({"tc", "kcl", "sl", "mc", "fsm", "counting"}),
         fsm_variant="g2miner",
-        setops_backend="numpy",
-        platform="GPU",
     )
 )

@@ -34,6 +34,5 @@ SYSTEM = register(
         kind="dfs",
         make_engine=make_engine,
         supports=frozenset({"tc", "kcl", "sl", "mc"}),
-        platform="CPU",
     )
 )

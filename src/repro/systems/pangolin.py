@@ -32,6 +32,5 @@ SYSTEM = register(
         make_engine=make_engine,
         supports=frozenset({"tc", "kcl", "mc", "fsm"}),
         fsm_variant="pangolin",
-        platform="GPU",
     )
 )

@@ -34,6 +34,5 @@ SYSTEM = register(
         kind="bfs",
         make_engine=make_engine,
         supports=frozenset({"tc", "kcl", "sl"}),
-        platform="GPU",
     )
 )

@@ -38,7 +38,5 @@ SYSTEM = register(
         make_engine=make_engine,
         supports=frozenset({"tc", "kcl", "sl", "mc", "fsm", "counting"}),
         fsm_variant="peregrine",
-        setops_backend="python",
-        platform="CPU",
     )
 )

@@ -1,4 +1,4 @@
-"""CSR substrate and preprocessing tests (orientation, renaming, tasks)."""
+"""CSR substrate and preprocessing tests (orientation, tasks)."""
 import numpy as np
 import pytest
 
@@ -74,33 +74,6 @@ def test_orient_preserves_edge_set(g):
 def test_orient_requires_symmetric(g):
     with pytest.raises(ValueError):
         g.orient().orient()
-
-
-# -- renaming (SS4.2 sorting/renaming) -----------------------------------
-
-def test_rename_preserves_degree_multiset(g):
-    gr = g.rename_by_degree()
-    assert sorted(gr.degrees.tolist()) == sorted(g.degrees.tolist())
-
-
-def test_rename_puts_hubs_first(g):
-    gr = g.rename_by_degree()
-    d = gr.degrees
-    assert d[0] == g.max_degree, "vertex 0 is the biggest hub after renaming"
-    assert d[0] >= d[g.n - 1]
-
-
-def test_rename_preserves_triangle_count(g):
-    def tc(gg):
-        go = gg.orient()
-        t = 0
-        for u in range(go.n):
-            Nu = go.neighbors(u)
-            for v in Nu:
-                t += len(np.intersect1d(Nu, go.neighbors(int(v)), assume_unique=True))
-        return t
-
-    assert tc(g) == tc(g.rename_by_degree())
 
 
 # -- task edgelist Omega (opt J) -----------------------------------------

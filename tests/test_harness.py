@@ -1,10 +1,21 @@
 """Harness tests: run_cell dispatch, statuses, and table running on the
 tiny test graphs (the bench graphs are exercised by benchmarks/)."""
+import dataclasses
+import time
+
 import pytest
 
 from repro import paper_numbers as paper
+from repro.graph import gen
 from repro.harness import fmt_cell, fmt_paper, get_csr, run_cell, run_table, sl_pattern
 from repro.timeout import CellResult
+
+
+def _alias(monkeypatch, graph: str, alias: str) -> None:
+    """Register ``alias`` as a copy of test graph ``graph`` under a name
+    ``get_csr`` has not cached yet."""
+    spec = gen.TEST_GRAPHS[graph]
+    monkeypatch.setitem(gen.TEST_GRAPHS, alias, dataclasses.replace(spec, name=alias))
 
 
 def test_get_csr_cached():
@@ -59,9 +70,46 @@ def test_run_table_frame(spark):
         [("G2Miner", ("tc",), "tiny"), ("GraphZero", ("tc",), "tiny")],
         timeout_s=60,
     )
-    assert list(df.columns) == ["system", "workload", "graph", "status", "seconds", "value"]
+    assert list(df.columns) == [
+        "system", "workload", "graph", "status", "seconds", "value", "paper",
+    ]
     assert (df["status"] == "ok").all()
     assert df["value"].nunique() == 1, "systems agree"
+    assert (df["paper"] == "-").all(), "tiny is in no paper table"
+
+
+def test_cell_seconds_exclude_graph_generation(spark, monkeypatch):
+    """Generation and CSR build happen before the clock starts."""
+    sleep_s = 2.0
+    real = gen.generate_graph
+
+    def slow(name):
+        time.sleep(sleep_s)
+        return real(name)
+
+    _alias(monkeypatch, "tiny", "tiny_slow_gen")
+    monkeypatch.setattr(gen, "generate_graph", slow)
+    warm = run_cell(spark, "G2Miner", ("tc",), "tiny", timeout_s=60)
+    r = run_cell(spark, "G2Miner", ("tc",), "tiny_slow_gen", timeout_s=60)
+    assert r.status == "ok" and r.value == warm.value
+    assert r.seconds < sleep_s
+
+
+def test_fsm_cells_generate_their_graph_once(spark, monkeypatch):
+    """FSM cells read the cached CSR: two cells, one generation in total."""
+    calls = []
+    real = gen.generate_graph
+
+    def counted(name):
+        calls.append(name)
+        return real(name)
+
+    _alias(monkeypatch, "tiny_labeled", "tiny_labeled_once")
+    monkeypatch.setattr(gen, "generate_graph", counted)
+    for system in ("G2Miner", "DistGraph"):
+        r = run_cell(spark, system, ("fsm", 3), "tiny_labeled_once", timeout_s=60)
+        assert r.status == "ok" and r.value > 0
+    assert calls == ["tiny_labeled_once"]
 
 
 def test_fmt_helpers():

@@ -1,5 +1,6 @@
 """Smoke tests for the spark-submit job entrypoints: they must parse,
 reference real tables, and share the harness cell lists."""
+import importlib.util
 import os
 import py_compile
 
@@ -31,10 +32,20 @@ def test_cell_lists_cover_paper_tables():
 
     for no, (cells_fn, paper_tbl, _) in TABLES.items():
         cells = cells_fn()
-        made = set()
-        for (s, w, g) in cells:
-            row = {"workload": "/".join(str(x) for x in w), "graph": g}
-            made.add((s, paper_key(row)))
+        made = {(s, paper_key(w, g)) for (s, w, g) in cells}
         for system, entries in paper_tbl.items():
             for key in entries:
                 assert (system, key) in made, (no, system, key)
+
+
+def test_experiments_md_renders_committed_results():
+    """Rendering the committed benchmarks/results/*.csv reproduces the
+    committed EXPERIMENTS.md results section byte for byte."""
+    spec = importlib.util.spec_from_file_location(
+        "make_experiments_md", os.path.join(JOBS_DIR, "make_experiments_md.py")
+    )
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    with open(os.path.join(JOBS_DIR, "..", "EXPERIMENTS.md"), encoding="utf-8") as f:
+        committed = f.read().split(mod.MARKER, 1)[1]
+    assert mod.results_section() == committed

@@ -36,14 +36,6 @@ def test_support_matrix_matches_paper(name, workload, supported):
     assert (workload in SYSTEMS[name].supports) == supported
 
 
-def test_platforms():
-    assert SYSTEMS["G2Miner"].platform == "GPU"
-    assert SYSTEMS["Pangolin"].platform == "GPU"
-    assert SYSTEMS["PBE"].platform == "GPU"
-    assert SYSTEMS["Peregrine"].platform == "CPU"
-    assert SYSTEMS["GraphZero"].platform == "CPU"
-
-
 def test_fsm_variants_wired():
     assert SYSTEMS["G2Miner"].fsm_variant == "g2miner"
     assert SYSTEMS["Pangolin"].fsm_variant == "pangolin"
