@@ -58,6 +58,4 @@ def _warmup(spark):
     from repro.core.pattern import clique
     from repro.harness import get_csr
 
-    DFSEngine(DFSConfig(memory_budget=1 << 40)).count(
-        spark, get_csr("tiny"), clique(3)
-    )
+    DFSEngine(DFSConfig()).count(spark, get_csr("tiny"), clique(3))

@@ -319,7 +319,7 @@ def batch_source(plan: SearchPlan, *, assume_reduced: bool = True) -> str:
 
 # -- SQL generation ------------------------------------------------------
 
-def pattern_sql(plan: SearchPlan, *, adj: str = "adj", limit_level: int | None = None) -> str:
+def pattern_sql(plan: SearchPlan, *, adj: str = "adj") -> str:
     """Generate the counting SQL for ``plan`` over a symmetric adjacency
     table ``adj(src, dst)``.
 
@@ -328,13 +328,10 @@ def pattern_sql(plan: SearchPlan, *, adj: str = "adj", limit_level: int | None =
     pattern edge, adds NOT EXISTS per anti-edge (vertex-induced only),
     and symmetry/exclusion predicates. Returns one row ``cnt``.
     """
-    k = plan.k if limit_level is None else limit_level
-    if k < 2:
-        raise ValueError("need k >= 2")
     v = {0: "e1.src", 1: "e1.dst"}
     joins = [f"{adj} e1"]
     preds: list[str] = []
-    for i in range(2, k):
+    for i in range(2, plan.k):
         conn = plan.conn[i]
         a0 = f"e{i}_{conn[0]}"
         joins.append(f"{adj} {a0}")
@@ -354,8 +351,7 @@ def pattern_sql(plan: SearchPlan, *, adj: str = "adj", limit_level: int | None =
         for j in plan.excl[i]:
             preds.append(f"{v[i]} <> {v[j]}")
     for (i, j) in plan.sym:
-        if i < k and j < k:
-            preds.append(f"{v[i]} < {v[j]}")
+        preds.append(f"{v[i]} < {v[j]}")
     where = ("\nWHERE " + "\n  AND ".join(preds)) if preds else ""
     return (
         "SELECT COUNT(*) AS cnt\nFROM "

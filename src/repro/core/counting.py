@@ -34,6 +34,7 @@ from repro.core.engine_dfs import DFSConfig, DFSEngine, run_pass
 from repro.core.pattern import Pattern, clique, cycle, motifs
 from repro.core.setops import BACKENDS, SegmentedSetOps
 from repro.graph.csr import CSRGraph
+from repro.memory import MemoryMeter
 
 #: Canonical 4-motif order (by edge count; the triangular system order).
 MOTIF4_NAMES = ("4-path", "3-star", "tailed-triangle", "4-cycle", "diamond", "4-clique")
@@ -126,12 +127,13 @@ def edge_triangle_stats(
 
 
 def count3_counting_only(
-    spark: SparkSession, csr: CSRGraph, *, engine: DFSEngine | None = None
+    spark: SparkSession, csr: CSRGraph, *, engine: DFSEngine | None = None,
+    meter: MemoryMeter | None = None,
 ) -> dict[str, int]:
     """3-motif counts with counting-only pruning: triangles enumerated once
     (TC), induced wedges from degrees: sum C(d, 2) - 3T."""
     engine = engine or DFSEngine()
-    t = engine.count(spark, csr, clique(3))
+    t = engine.count(spark, csr, clique(3), meter=meter)
     deg = csr.degrees.astype(np.int64)
     wedges_non = int((deg * (deg - 1) // 2).sum())
     return {"3-path": wedges_non - 3 * t, "3-clique": t}
@@ -139,7 +141,7 @@ def count3_counting_only(
 
 def count4_counting_only(
     spark: SparkSession, csr: CSRGraph, *, engine: DFSEngine | None = None,
-    backend: str = "numpy",
+    backend: str = "numpy", meter: MemoryMeter | None = None,
 ) -> dict[str, int]:
     """All six induced 4-motif counts from decompositions + two real
     enumerations (4-clique, 4-cycle)."""
@@ -147,8 +149,9 @@ def count4_counting_only(
     stats = edge_triangle_stats(spark, csr, backend=backend)
     t = stats["T"]
     deg = csr.degrees.astype(np.int64)
-    k4 = engine.count(spark, csr, clique(4))
-    c4_non = engine.count(spark, csr, cycle(4))  # no decomposition (SS5.4)
+    k4 = engine.count(spark, csr, clique(4), meter=meter)
+    # The 4-cycle has no decomposition (SS5.4): enumerate it.
+    c4_non = engine.count(spark, csr, cycle(4), meter=meter)
     claw_non = int((deg * (deg - 1) * (deg - 2) // 6).sum())
     # Non-induced P4: sum over undirected edges of (d_u-1)(d_v-1) - 3T.
     e = csr.edge_tasks("gt")

@@ -41,7 +41,6 @@ class BFSConfig:
     materialize: bool = True  # persist every level's subgraph list (Pangolin)
     adj_partitions: int = 0  # P-way partitioned adjacency (PBE); 0 = off
     orientation: bool = True  # opt A for cliques (Pangolin yes, PBE no)
-    memory_budget: int = memmod.GPU_MEM_BYTES
 
 
 class BFSEngine:
@@ -62,10 +61,10 @@ class BFSEngine:
         """Count matches of ``pattern`` with BFS extension.
 
         Raises ``OutOfMemoryError`` if the materialised subgraph lists
-        exceed the engine's device budget (Pangolin mode).
+        exceed the ``meter``'s budget (Pangolin mode).
         """
         cfg = self.cfg
-        meter = meter or memmod.MemoryMeter(cfg.memory_budget)
+        meter = meter or memmod.MemoryMeter()
         # For cliques, vertex- and edge-induced matches coincide (SS2.1),
         # so orientation applies regardless of the induced flag.
         use_orient = pattern.is_clique() and cfg.orientation
@@ -76,71 +75,67 @@ class BFSEngine:
             else build_plan(pattern, induced=induced)
         )
         edges = g.edge_tasks("all")  # no edgelist reduction in the baselines
-        if cfg.adj_partitions > 0:
-            # PBE partitions the data graph precisely so that only one
-            # partition is resident at a time — that is how it "supports
-            # large graphs" (SS3.2) at the price of cross-partition
-            # communication. Charge a single partition's share.
-            meter.alloc("csr", g.nbytes() // cfg.adj_partitions)
-            meter.alloc("edgelist", edges.nbytes // cfg.adj_partitions)
-        else:
-            meter.alloc("csr", g.nbytes())
-            meter.alloc("edgelist", edges.nbytes)
-            if use_orient:
-                # Pangolin constructs the DAG on the device next to the
-                # input graph (footnote 3: orientation memory behaviour);
-                # the symmetric CSR is resident during construction.
-                # G2Miner's loader orients host-side (preprocessing SS4.2).
-                meter.alloc("csr_symmetric", csr.nbytes())
-        adj = spark.createDataFrame(
-            pd.DataFrame({"src": edges[:, 0], "dst": edges[:, 1]})
-        )
-        adj_parts: list[DataFrame] = []
-        if cfg.adj_partitions > 0:
-            # PBE: the data graph is partitioned; extension must consult
-            # every partition (cross-partition communication).
-            part = F.pmod(F.hash("src"), F.lit(cfg.adj_partitions))
-            whole = adj.withColumn("p", part)
-            adj_parts = [
-                whole.filter(F.col("p") == i).drop("p")
-                for i in range(cfg.adj_partitions)
-            ]
+        with meter.scope():
+            if cfg.adj_partitions > 0:
+                # PBE partitions the data graph precisely so that only one
+                # partition is resident at a time — that is how it "supports
+                # large graphs" (SS3.2) at the price of cross-partition
+                # communication. Charge a single partition's share.
+                meter.alloc("csr", g.nbytes() // cfg.adj_partitions)
+                meter.alloc("edgelist", edges.nbytes // cfg.adj_partitions)
+            else:
+                meter.alloc("csr", g.nbytes())
+                meter.alloc("edgelist", edges.nbytes)
+                if use_orient:
+                    # Pangolin constructs the DAG on the device next to the
+                    # input graph (footnote 3: orientation memory behaviour);
+                    # the symmetric CSR is resident during construction.
+                    # G2Miner's loader orients host-side (preprocessing SS4.2).
+                    meter.alloc("csr_symmetric", csr.nbytes())
+            adj = spark.createDataFrame(
+                pd.DataFrame({"src": edges[:, 0], "dst": edges[:, 1]})
+            )
+            adj_parts: list[DataFrame] = []
+            if cfg.adj_partitions > 0:
+                # PBE: the data graph is partitioned; extension must consult
+                # every partition (cross-partition communication).
+                part = F.pmod(F.hash("src"), F.lit(cfg.adj_partitions))
+                whole = adj.withColumn("p", part)
+                adj_parts = [
+                    whole.filter(F.col("p") == i).drop("p")
+                    for i in range(cfg.adj_partitions)
+                ]
 
-        # Level-1 subgraph list: the edge list with the v0/v1 symmetry
-        # constraint applied on the fly (the baselines filter rather than
-        # pre-reduce Omega — opt J is G2Miner-only).
-        level = adj.select(F.col("src").alias("v0"), F.col("dst").alias("v1"))
-        for (i, j) in plan.sym:
-            if i <= 1 and j <= 1:
-                level = level.filter(F.col(f"v{i}") < F.col(f"v{j}"))
+            # Level-1 subgraph list: the edge list with the v0/v1 symmetry
+            # constraint applied on the fly (the baselines filter rather than
+            # pre-reduce Omega — opt J is G2Miner-only).
+            level = adj.select(F.col("src").alias("v0"), F.col("dst").alias("v1"))
+            for (i, j) in plan.sym:
+                if i <= 1 and j <= 1:
+                    level = level.filter(F.col(f"v{i}") < F.col(f"v{j}"))
 
-        persisted: list[DataFrame] = []
-        allocated = ["csr", "csr_symmetric", "edgelist"]
-        try:
-            for lvl in range(2, plan.k):
-                level = self._extend(level, lvl, plan, adj, adj_parts)
-                if lvl == plan.k - 1:
-                    break  # leaf level: counted, never stored (Alg. 2 line 7)
-                if cfg.materialize:
-                    level = level.persist()
-                    persisted.append(level)
-                    rows = level.count()
-                    # Subgraph list entry = lvl+1 vertex ids (SS2.3:
-                    # memory exponential in pattern size).
-                    allocated.append(f"subgraph_list_{lvl}")
-                    meter.alloc(f"subgraph_list_{lvl}", rows * (lvl + 1) * 8)
-                else:
-                    # PBE streams blocks: charge one block, not the list.
-                    # (The communication cost is already paid by the
-                    # per-partition join fan-out + union above.)
-                    allocated.append(f"block_{lvl}")
-                    meter.alloc(f"block_{lvl}", 1 << 16)
-            return level.count()
-        finally:
-            for df in persisted:
-                df.unpersist()
-            for key in allocated:
-                meter.free(key)
+            persisted: list[DataFrame] = []
+            try:
+                for lvl in range(2, plan.k):
+                    level = self._extend(level, lvl, plan, adj, adj_parts)
+                    if lvl == plan.k - 1:
+                        break  # leaf level: counted, never stored (Alg. 2 line 7)
+                    if cfg.materialize:
+                        level = level.persist()
+                        persisted.append(level)
+                        rows = level.count()
+                        # Subgraph list entry = lvl+1 vertex ids (SS2.3:
+                        # memory exponential in pattern size).
+                        meter.alloc(f"subgraph_list_{lvl}", rows * (lvl + 1) * 8)
+                    else:
+                        # PBE streams blocks: charge one block, not the list.
+                        # (The communication cost is already paid by the
+                        # per-partition join fan-out + union above.)
+                        meter.alloc(f"block_{lvl}", 1 << 16)
+                return level.count()
+            finally:
+                for df in persisted:
+                    df.unpersist()
 
     def _extend(
         self,

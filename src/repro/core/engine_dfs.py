@@ -28,9 +28,10 @@ the Spark dataflow model):
   DAG-edge tasks, and local-graph search with the dense bitmap format
   (opts E+F) guarded by the input-aware Delta threshold.
 
-The engine accounts all materialised state against a device-memory budget
-(``repro.memory``) and can report per-task measured work for the multi-GPU
-scheduling simulation.
+The engine accounts all materialised state in the caller's ledger
+(``repro.memory``; ``run_cell`` passes the cell's ledger, sized by the
+system's budget) and can report per-task measured work for the multi-GPU scheduling
+simulation.
 """
 from __future__ import annotations
 
@@ -69,7 +70,6 @@ class DFSConfig:
     # GPU) and the chunked-RR bins. Spark runs defaultParallelism tasks,
     # each taking a contiguous group of these bins.
     num_partitions: int = 16
-    memory_budget: int = memmod.GPU_MEM_BYTES
     lgs_delta_threshold: int = 4096  # input-aware LGS guard (SS5.4(2))
     chunked_schedule: bool = True  # opt G analog for partition balance
 
@@ -248,15 +248,15 @@ class DFSEngine:
         else edge-induced/monomorphism matches up to automorphism
         (TC/k-CL/SL semantics).
         """
-        meter = meter or memmod.MemoryMeter(self.cfg.memory_budget)
+        meter = meter or memmod.MemoryMeter()
         cfg = self.cfg
         n_bins = cfg.num_partitions if cfg.chunked_schedule else None
         # For cliques, vertex- and edge-induced matches coincide (SS2.1),
         # so orientation applies regardless of the induced flag.
         use_orient = pattern.is_clique() and cfg.orientation
         g = csr.orient() if use_orient else csr
-        meter.alloc("csr", g.nbytes())
-        try:
+        with meter.scope():
+            meter.alloc("csr", g.nbytes())
             if (
                 use_orient
                 and cfg.lgs
@@ -307,10 +307,6 @@ class DFSEngine:
                 body = _make_worker("vertex", kernel_src, cfg.setops)
             cnt, self.last_ops = run_pass(spark, g, kind, body, COLS, n_bins)
             return cnt
-        finally:
-            meter.free("csr")
-            meter.free("tasks")
-            meter.free("buffers")
 
     def count_df(self, spark: SparkSession, csr: CSRGraph, pattern: Pattern, **kw):
         """Count wrapped as a one-row DataFrame (column ``cnt``) so results

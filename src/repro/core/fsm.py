@@ -155,22 +155,24 @@ def fsm3(
     support) table.
 
     All variants return identical results; they differ in execution shape
-    and memory behaviour, which is what Table 8 measures.
+    and memory behaviour, which is what Table 8 measures. Every charge a
+    variant makes to ``meter`` is freed when it returns or raises.
     """
+    meter = meter or memmod.MemoryMeter()
     adj, labels = frames(csr)
-    if variant == "g2miner":
-        return _fsm_g2miner(spark, adj, labels, sigma, meter)
-    if variant == "pangolin":
-        return _fsm_pangolin(spark, adj, labels, sigma, meter)
-    if variant == "peregrine":
-        return _fsm_peregrine(spark, adj, labels, sigma, meter)
-    if variant == "distgraph":
-        return _fsm_distgraph(adj, labels, sigma, meter)
+    with meter.scope():
+        if variant == "g2miner":
+            return _fsm_g2miner(spark, adj, labels, sigma, meter)
+        if variant == "pangolin":
+            return _fsm_pangolin(spark, adj, labels, sigma, meter)
+        if variant == "peregrine":
+            return _fsm_peregrine(spark, adj, labels, sigma, meter)
+        if variant == "distgraph":
+            return _fsm_distgraph(adj, labels, sigma, meter)
     raise ValueError(f"unknown variant {variant!r}")
 
 
 def _fsm_g2miner(spark, adj, labels, sigma, meter) -> pd.DataFrame:
-    meter = meter or memmod.MemoryMeter(memmod.GPU_MEM_BYTES)
     # Opt N: label-frequency pruning. Infrequent labels cannot appear in
     # any frequent pattern (their orbit domain is capped by label
     # frequency), so drop those vertices before any enumeration; the
@@ -185,85 +187,64 @@ def _fsm_g2miner(spark, adj, labels, sigma, meter) -> pd.DataFrame:
     n_patterns = n_labels + n_labels**2 + n_labels**3  # possible 3-FSM keys
     meter.alloc("graph", adj2.values.nbytes + lab2.values.nbytes)
     meter.alloc("pattern_lists", n_patterns * 64)
-    try:
-        _register_views(spark, adj2, lab2)
-        parts = [
-            spark.sql(support_sql(k)).toPandas() for k in ("edge", "wedge", "tri")
-        ]
-        return _frequent(pd.concat(parts, ignore_index=True), sigma)
-    finally:
-        meter.free("graph")
-        meter.free("pattern_lists")
+    _register_views(spark, adj2, lab2)
+    parts = [spark.sql(support_sql(k)).toPandas() for k in ("edge", "wedge", "tri")]
+    return _frequent(pd.concat(parts, ignore_index=True), sigma)
 
 
 def _fsm_pangolin(spark, adj, labels, sigma, meter) -> pd.DataFrame:
-    meter = meter or memmod.MemoryMeter(memmod.GPU_MEM_BYTES)
     meter.alloc("graph", adj.values.nbytes + labels.values.nbytes)
     # No label pruning, and each level's embedding list is materialised
     # before aggregation (the BFS subgraph list): count the embeddings and
     # charge them against the device budget first.
     _register_views(spark, adj, labels)
-    allocated = ["graph"]
-    try:
-        wedges = spark.sql(
-            "SELECT COUNT(*) c FROM adj e1 JOIN adj e2 "
-            "ON e2.src = e1.src AND e1.dst < e2.dst"
-        ).collect()[0][0]
-        allocated.append("wedge_embeddings")
-        meter.alloc("wedge_embeddings", int(wedges) * 3 * 8)
-        tris = spark.sql(
-            "SELECT COUNT(*) c FROM adj e1 "
-            "JOIN adj e2 ON e2.src = e1.src AND e2.dst > e1.dst "
-            "JOIN adj e3 ON e3.src = e1.dst AND e3.dst = e2.dst "
-            "WHERE e1.src < e1.dst"
-        ).collect()[0][0]
-        allocated.append("tri_embeddings")
-        meter.alloc("tri_embeddings", int(tris) * 3 * 8)
-        parts = [
-            spark.sql(support_sql(k)).toPandas() for k in ("edge", "wedge", "tri")
-        ]
-        return _frequent(pd.concat(parts, ignore_index=True), sigma)
-    finally:
-        for k in allocated:
-            meter.free(k)
+    wedges = spark.sql(
+        "SELECT COUNT(*) c FROM adj e1 JOIN adj e2 "
+        "ON e2.src = e1.src AND e1.dst < e2.dst"
+    ).collect()[0][0]
+    meter.alloc("wedge_embeddings", int(wedges) * 3 * 8)
+    tris = spark.sql(
+        "SELECT COUNT(*) c FROM adj e1 "
+        "JOIN adj e2 ON e2.src = e1.src AND e2.dst > e1.dst "
+        "JOIN adj e3 ON e3.src = e1.dst AND e3.dst = e2.dst "
+        "WHERE e1.src < e1.dst"
+    ).collect()[0][0]
+    meter.alloc("tri_embeddings", int(tris) * 3 * 8)
+    parts = [spark.sql(support_sql(k)).toPandas() for k in ("edge", "wedge", "tri")]
+    return _frequent(pd.concat(parts, ignore_index=True), sigma)
 
 
 def _fsm_peregrine(spark, adj, labels, sigma, meter) -> pd.DataFrame:
-    meter = meter or memmod.MemoryMeter(memmod.CPU_MEM_BYTES)
     meter.alloc("graph", adj.values.nbytes + labels.values.nbytes)
-    try:
-        _register_views(spark, adj, labels)
-        edge_tab = spark.sql(support_sql("edge")).toPandas()
-        freq_edge = _frequent(edge_tab, sigma)
-        # Frequent labels = labels appearing in some frequent edge pattern;
-        # only they can head a frequent 3-vertex pattern.
-        freq_labels = sorted(
-            {
-                int(x)
-                for p in freq_edge["pattern"]
-                for x in p[2:].split("_")
-            }
+    _register_views(spark, adj, labels)
+    edge_tab = spark.sql(support_sql("edge")).toPandas()
+    freq_edge = _frequent(edge_tab, sigma)
+    # Frequent labels = labels appearing in some frequent edge pattern;
+    # only they can head a frequent 3-vertex pattern.
+    freq_labels = sorted(
+        {
+            int(x)
+            for p in freq_edge["pattern"]
+            for x in p[2:].split("_")
+        }
+    )
+    parts = [edge_tab]
+    # Pattern-at-a-time: one job per (family, anchor label) — Peregrine
+    # enumerates each pattern separately, with no cross-pattern reuse.
+    for lab in freq_labels:
+        parts.append(
+            spark.sql(support_sql("wedge", where=f"lc = {lab}")).toPandas()
         )
-        parts = [edge_tab]
-        # Pattern-at-a-time: one job per (family, anchor label) — Peregrine
-        # enumerates each pattern separately, with no cross-pattern reuse.
-        for lab in freq_labels:
-            parts.append(
-                spark.sql(support_sql("wedge", where=f"lc = {lab}")).toPandas()
-            )
-            parts.append(
-                spark.sql(
-                    support_sql("tri", where=f"least(la, lb, lc) = {lab}")
-                ).toPandas()
-            )
-        merged = pd.concat(parts, ignore_index=True).drop_duplicates("pattern")
-        return _frequent(merged, sigma)
-    finally:
-        meter.free("graph")
+        parts.append(
+            spark.sql(
+                support_sql("tri", where=f"least(la, lb, lc) = {lab}")
+            ).toPandas()
+        )
+    merged = pd.concat(parts, ignore_index=True).drop_duplicates("pattern")
+    return _frequent(merged, sigma)
 
 
 def _fsm_distgraph(adj, labels, sigma, meter) -> pd.DataFrame:
-    meter = meter or memmod.MemoryMeter(memmod.CPU_MEM_BYTES)
     lab = labels.set_index("v")["label"].to_dict()
     # Input-oblivious embedding store: estimate the wedge list size from
     # degrees and charge it (with Python object overhead) before
@@ -273,52 +254,48 @@ def _fsm_distgraph(adj, labels, sigma, meter) -> pd.DataFrame:
     est_wedges = int((deg * (deg - 1) // 2).sum())
     meter.alloc("graph", adj.values.nbytes)
     meter.alloc("embeddings", est_wedges * 3 * 8 * _DISTGRAPH_OVERHEAD)
-    try:
-        nbrs: dict[int, list[int]] = {}
-        for s_, d_ in adj.itertuples(index=False):
-            nbrs.setdefault(int(s_), []).append(int(d_))
-        nsets = {u: set(ns) for u, ns in nbrs.items()}
-        dom: dict[tuple, dict[str, set]] = {}
+    nbrs: dict[int, list[int]] = {}
+    for s_, d_ in adj.itertuples(index=False):
+        nbrs.setdefault(int(s_), []).append(int(d_))
+    nsets = {u: set(ns) for u, ns in nbrs.items()}
+    dom: dict[tuple, dict[str, set]] = {}
 
-        def touch(pat, orbit, v):
-            dom.setdefault(pat, {}).setdefault(orbit, set()).add(v)
+    def touch(pat, orbit, v):
+        dom.setdefault(pat, {}).setdefault(orbit, set()).add(v)
 
-        for u, ns in nbrs.items():
-            lu = lab[u]
-            for v in ns:
-                if u < v:
-                    lv = lab[v]
-                    p = ("E", min(lu, lv), max(lu, lv))
-                    touch(p, f"p:{lu}", u)
-                    touch(p, f"p:{lv}", v)
-            ns_sorted = sorted(ns)
-            for i in range(len(ns_sorted)):
-                a = ns_sorted[i]
-                la = lab[a]
-                for b in ns_sorted[i + 1 :]:
-                    lb = lab[b]
-                    p = ("W", lu, min(la, lb), max(la, lb))
-                    touch(p, "c", u)
-                    touch(p, f"e:{la}", a)
-                    touch(p, f"e:{lb}", b)
-                    if u < a and b in nsets.get(a, ()):
-                        ls = sorted((lu, la, lb))
-                        p = ("T", ls[0], ls[1], ls[2])
-                        touch(p, f"t:{lu}", u)
-                        touch(p, f"t:{la}", a)
-                        touch(p, f"t:{lb}", b)
-        rows = []
-        for p, orbits in dom.items():
-            sup = min(len(s) for s in orbits.values())
-            if p[0] == "E":
-                key = f"E:{p[1]}_{p[2]}"
-            elif p[0] == "W":
-                key = f"W:{p[1]}:{p[2]}_{p[3]}"
-            else:
-                key = f"T:{p[1]}_{p[2]}_{p[3]}"
-            rows.append((key, sup))
-        pdf = pd.DataFrame(rows, columns=["pattern", "support"])
-        return _frequent(pdf, sigma)
-    finally:
-        meter.free("graph")
-        meter.free("embeddings")
+    for u, ns in nbrs.items():
+        lu = lab[u]
+        for v in ns:
+            if u < v:
+                lv = lab[v]
+                p = ("E", min(lu, lv), max(lu, lv))
+                touch(p, f"p:{lu}", u)
+                touch(p, f"p:{lv}", v)
+        ns_sorted = sorted(ns)
+        for i in range(len(ns_sorted)):
+            a = ns_sorted[i]
+            la = lab[a]
+            for b in ns_sorted[i + 1 :]:
+                lb = lab[b]
+                p = ("W", lu, min(la, lb), max(la, lb))
+                touch(p, "c", u)
+                touch(p, f"e:{la}", a)
+                touch(p, f"e:{lb}", b)
+                if u < a and b in nsets.get(a, ()):
+                    ls = sorted((lu, la, lb))
+                    p = ("T", ls[0], ls[1], ls[2])
+                    touch(p, f"t:{lu}", u)
+                    touch(p, f"t:{la}", a)
+                    touch(p, f"t:{lb}", b)
+    rows = []
+    for p, orbits in dom.items():
+        sup = min(len(s) for s in orbits.values())
+        if p[0] == "E":
+            key = f"E:{p[1]}_{p[2]}"
+        elif p[0] == "W":
+            key = f"W:{p[1]}:{p[2]}_{p[3]}"
+        else:
+            key = f"T:{p[1]}_{p[2]}_{p[3]}"
+        rows.append((key, sup))
+    pdf = pd.DataFrame(rows, columns=["pattern", "support"])
+    return _frequent(pdf, sigma)

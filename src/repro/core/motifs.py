@@ -31,12 +31,13 @@ def count_motifs(
     meter: memmod.MemoryMeter | None = None,
 ) -> dict[str, int]:
     """Count every connected k-vertex motif (vertex-induced). Returns
-    {motif name: count}. The shared ``meter`` makes multi-pattern runs
-    charge one device budget (subgraph lists coexist in BFS systems)."""
+    {motif name: count}.
+
+    Every pattern charges the one ``meter`` (``run_cell`` passes the
+    cell's ledger). Each engine call frees its own structures when it
+    returns, so the ledger's peak is the largest single pattern's state
+    (wedge lists for 4-path in BFS systems), not their sum."""
     out: dict[str, int] = {}
     for p in motifs(k):
-        # Engines account and release their own structures per pattern;
-        # the binding constraint is the largest single pattern's
-        # intermediate state (wedge lists for 4-path in BFS systems).
         out[p.name] = engine.count(spark, csr, p, induced=True, meter=meter)
     return out

@@ -4,8 +4,8 @@ A pattern is a small connected undirected graph on vertices ``0..k-1``.
 This module provides the named patterns used throughout the paper's
 evaluation (triangle, k-cliques, diamond, 4-cycle, all 3- and 4-motifs),
 explicit patterns from edge lists (Listing 2), and the structural analyses
-the pattern analyzer needs: isomorphism tests, the automorphism group,
-clique and hub-pattern detection.
+the pattern analyzer needs: isomorphism tests, the automorphism group and
+clique detection.
 
 Sizes are tiny (k <= 8) so brute-force permutation algorithms are exact and
 fast; this mirrors the paper, whose analyzer also enumerates matching orders
@@ -15,8 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, permutations
-
-import numpy as np
 
 
 @dataclass(frozen=True)
@@ -41,13 +39,6 @@ class Pattern:
     @property
     def num_edges(self) -> int:
         return len(self.edges)
-
-    def adj_matrix(self) -> np.ndarray:
-        A = np.zeros((self.k, self.k), dtype=bool)
-        for e in self.edges:
-            u, v = tuple(e)
-            A[u, v] = A[v, u] = True
-        return A
 
     def has_edge(self, u: int, v: int) -> bool:
         return frozenset((u, v)) in self.edges
@@ -78,14 +69,6 @@ class Pattern:
         """Clique detection — enables orientation (opt A) and LGS+bitmap."""
         return self.num_edges == self.k * (self.k - 1) // 2
 
-    def hub_vertices(self) -> list[int]:
-        """Vertices connected to all other pattern vertices (SS5.4(2))."""
-        return [u for u in range(self.k) if self.degree(u) == self.k - 1]
-
-    def is_hub_pattern(self) -> bool:
-        """A hub-pattern has >= 1 hub vertex; LGS applies (opt E)."""
-        return bool(self.hub_vertices())
-
     # -- isomorphism machinery ------------------------------------------
 
     def relabel(self, perm: tuple[int, ...]) -> "Pattern":
@@ -113,18 +96,6 @@ class Pattern:
             self.relabel(p).edges == other.edges
             for p in permutations(range(self.k))
         )
-
-    def canonical_key(self) -> tuple:
-        """A canonical structural key: lexicographically minimal edge
-        bitstring over all relabelings. Equal iff isomorphic."""
-        pairs = list(combinations(range(self.k), 2))
-        best = None
-        for p in permutations(range(self.k)):
-            rel = self.relabel(p).edges
-            bits = tuple(int(frozenset(pr) in rel) for pr in pairs)
-            if best is None or bits < best:
-                best = bits
-        return (self.k, best)
 
 
 def from_edge_list(k: int, edge_list, name: str = "") -> Pattern:

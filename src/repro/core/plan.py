@@ -53,19 +53,10 @@ class SearchPlan:
     def k(self) -> int:
         return self.pattern.k
 
-    @property
-    def num_automorphisms(self) -> int:
-        return len(self.pattern.automorphisms())
-
     def edge_parallel_ok(self) -> bool:
         """Edge parallelism needs the first two positions to be a pattern
         edge (they always are for a connected matching order)."""
         return self.pattern.has_edge(0, 1)
-
-    def first_edge_reduced(self) -> bool:
-        """True iff the symmetry order constrains v0 vs v1 — enabling
-        edgelist reduction (opt J, SS7.2(2))."""
-        return (0, 1) in self.sym or (1, 0) in self.sym
 
     def num_buffers(self) -> int:
         """Adaptive-buffering input (opt K): number of per-warp buffers X.

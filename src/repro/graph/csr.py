@@ -71,13 +71,6 @@ class CSRGraph:
     def neighbors(self, v: int) -> np.ndarray:
         return self.indices[self.indptr[v] : self.indptr[v + 1]]
 
-    def label_frequency(self) -> dict[int, int]:
-        """Vertex frequency of each label (used by FSM opt N)."""
-        if self.labels is None:
-            return {}
-        vals, cnt = np.unique(self.labels, return_counts=True)
-        return dict(zip(vals.tolist(), cnt.tolist()))
-
     def has_edge(self, u: int, v: int) -> bool:
         nb = self.neighbors(u)
         i = np.searchsorted(nb, v)

@@ -51,49 +51,56 @@ def run_cell(
 
     ``workload`` is one of: ('tc',), ('kcl', k), ('sl', pattern_name),
     ('mc', k), ('fsm', sigma), ('counting', which) with which in
-    {'diamond', '3-motif', '4-motif'}. The graph is loaded before the
-    clock starts, so ``seconds`` never includes generation or CSR build.
+    {'diamond', '3-motif', '4-motif'}. The graph is loaded and the cell's
+    ledger (``MemoryMeter`` of the system's budget) opened before the clock
+    starts, so ``seconds`` never includes generation or CSR build; every
+    engine call of the cell charges that one ledger.
     """
     sys = SYSTEMS[system_name]
     kind = workload[0]
     if kind not in sys.supports:
         return CellResult(status="n/a", detail=f"{system_name} lacks {kind}")
     csr = get_csr(graph)
+    meter = memmod.MemoryMeter(sys.memory_budget)
 
     def body():
         if kind == "fsm":
-            return len(fsmmod.fsm3(spark, csr, workload[1], variant=sys.fsm_variant))
+            return len(fsmmod.fsm3(spark, csr, workload[1], variant=sys.fsm_variant,
+                                   meter=meter))
         engine = sys.make_engine()
         if kind == "tc":
-            return engine.count(spark, csr, clique(3))
+            return engine.count(spark, csr, clique(3), meter=meter)
         if kind == "kcl":
-            return engine.count(spark, csr, clique(workload[1]))
+            return engine.count(spark, csr, clique(workload[1]), meter=meter)
         if kind == "sl":
-            return engine.count(spark, csr, sl_pattern(workload[1]))
+            return engine.count(spark, csr, sl_pattern(workload[1]), meter=meter)
         if kind == "mc":
-            return count_motifs(spark, csr, workload[1], engine)
+            return count_motifs(spark, csr, workload[1], engine, meter=meter)
         if kind == "counting":
             which, backend = workload[1], engine.cfg.setops
             if which == "diamond":
                 return counting.diamond_counting_only(spark, csr, backend=backend)
             if which == "3-motif":
-                return counting.count3_counting_only(spark, csr, engine=engine)
+                return counting.count3_counting_only(spark, csr, engine=engine,
+                                                     meter=meter)
             if which == "4-motif":
                 return counting.count4_counting_only(
-                    spark, csr, engine=engine, backend=backend
+                    spark, csr, engine=engine, backend=backend, meter=meter
                 )
         raise ValueError(f"unknown workload {workload!r}")
 
     t0 = time.perf_counter()
+
+    def result(status: str, **kw) -> CellResult:
+        return CellResult(status=status, seconds=time.perf_counter() - t0,
+                          peak_bytes=meter.peak, **kw)
+
     try:
-        value = run_with_timeout(spark, body, timeout_s)
-        return CellResult(status="ok", value=value, seconds=time.perf_counter() - t0)
+        return result("ok", value=run_with_timeout(spark, body, timeout_s))
     except memmod.OutOfMemoryError as e:
-        return CellResult(
-            status="OoM", seconds=time.perf_counter() - t0, detail=str(e)
-        )
+        return result("OoM", detail=str(e), oom_what=e.what)
     except TimeoutError_ as e:
-        return CellResult(status="TO", seconds=time.perf_counter() - t0, detail=str(e))
+        return result("TO", detail=str(e))
 
 
 def fmt_cell(r) -> str:

@@ -1,9 +1,10 @@
 """Common system-facade machinery.
 
 A ``System`` bundles an engine factory with the capability flags the paper
-reports in Table 1 (which workloads each system supports) plus its FSM
-variant. Registration happens at import of each
-``repro.systems.<name>`` module.
+reports in Table 1 (which workloads each system supports), its memory
+budget (GPU or CPU, ``repro.memory``) and its FSM variant. The harness
+opens one ledger of that budget per cell; engines never choose a budget.
+Registration happens at import of each ``repro.systems.<name>`` module.
 """
 from __future__ import annotations
 
@@ -19,6 +20,7 @@ class System:
     kind: str  # 'dfs' | 'bfs'
     make_engine: Callable  # () -> DFSEngine | BFSEngine
     supports: frozenset[str]  # of {'tc','kcl','sl','mc','fsm','counting'}
+    memory_budget: int  # bytes of one cell's ledger (``repro.memory``)
     fsm_variant: str | None = None
 
 

@@ -6,6 +6,7 @@ CPU budget (OoM on the largest labeled graph, matching the paper), and
 interpreter-bound enumeration (slow on Mico, like the paper's 56-61 s
 against Peregrine's 4.4 s).
 """
+from repro import memory as memmod
 from repro.systems.base import System, register
 
 
@@ -19,6 +20,7 @@ SYSTEM = register(
         kind="dfs",
         make_engine=make_engine,
         supports=frozenset({"fsm"}),
+        memory_budget=memmod.CPU_MEM_BYTES,
         fsm_variant="distgraph",
     )
 )

@@ -2,7 +2,8 @@
 
 DFS order, pattern/input/architecture aware: edge parallelism, vectorised
 (SIMD-analog) set ops, orientation + LGS + bitmap for cliques, edgelist
-reduction, chunked round-robin partition scheduling, GPU memory budget.
+reduction, chunked round-robin partition scheduling, GPU memory budget
+(``System.memory_budget``).
 Supports every workload, including FSM (bounded BFS, opt M+N) and
 counting-only pruning (opt D).
 """
@@ -19,7 +20,6 @@ def make_engine() -> DFSEngine:
             orientation=True,
             lgs=True,
             edgelist_reduction=True,
-            memory_budget=memmod.GPU_MEM_BYTES,
         )
     )
 
@@ -30,6 +30,7 @@ SYSTEM = register(
         kind="dfs",
         make_engine=make_engine,
         supports=frozenset({"tc", "kcl", "sl", "mc", "fsm", "counting"}),
+        memory_budget=memmod.GPU_MEM_BYTES,
         fsm_variant="g2miner",
     )
 )

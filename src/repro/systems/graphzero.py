@@ -19,7 +19,6 @@ def make_engine() -> DFSEngine:
             orientation=False,
             lgs=False,
             edgelist_reduction=False,
-            memory_budget=memmod.CPU_MEM_BYTES,
             # CPU systems process vertex tasks in natural order with static
             # partitioning — the coarse-grain load imbalance of SS5.1(2);
             # chunked scheduling (opt G) is G2Miner's.
@@ -34,5 +33,6 @@ SYSTEM = register(
         kind="dfs",
         make_engine=make_engine,
         supports=frozenset({"tc", "kcl", "sl", "mc"}),
+        memory_budget=memmod.CPU_MEM_BYTES,
     )
 )

@@ -4,7 +4,8 @@ BFS order with fully materialised per-level subgraph lists (the memory
 wall of SS2.3: >40 GB for 5-clique on LiveJournal), orientation for
 cliques only (Table 2 row A: the one optimization it shares), no edgelist
 reduction, no input awareness. GPU memory budget — the OoM cells in
-Tables 4, 5, 7 and 8 come from this configuration's ledger.
+Tables 4, 5, 7 and 8 come from the ledger of that budget that the harness
+opens per cell.
 
 Pangolin does not support SL (paper SS8), and its FSM variant materialises
 embedding lists without label-frequency pruning.
@@ -20,7 +21,6 @@ def make_engine() -> BFSEngine:
             materialize=True,
             adj_partitions=0,
             orientation=True,
-            memory_budget=memmod.GPU_MEM_BYTES,
         )
     )
 
@@ -31,6 +31,7 @@ SYSTEM = register(
         kind="bfs",
         make_engine=make_engine,
         supports=frozenset({"tc", "kcl", "mc", "fsm"}),
+        memory_budget=memmod.GPU_MEM_BYTES,
         fsm_variant="pangolin",
     )
 )

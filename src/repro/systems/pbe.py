@@ -23,7 +23,6 @@ def make_engine() -> BFSEngine:
             materialize=False,
             adj_partitions=ADJ_PARTITIONS,
             orientation=False,
-            memory_budget=memmod.GPU_MEM_BYTES,
         )
     )
 
@@ -34,5 +33,6 @@ SYSTEM = register(
         kind="bfs",
         make_engine=make_engine,
         supports=frozenset({"tc", "kcl", "sl"}),
+        memory_budget=memmod.GPU_MEM_BYTES,
     )
 )

@@ -22,7 +22,6 @@ def make_engine() -> DFSEngine:
             orientation=False,
             lgs=False,
             edgelist_reduction=False,
-            memory_budget=memmod.CPU_MEM_BYTES,
             # CPU systems process vertex tasks in natural order with static
             # partitioning — the coarse-grain load imbalance of SS5.1(2);
             # chunked scheduling (opt G) is G2Miner's.
@@ -37,6 +36,7 @@ SYSTEM = register(
         kind="dfs",
         make_engine=make_engine,
         supports=frozenset({"tc", "kcl", "sl", "mc", "fsm", "counting"}),
+        memory_budget=memmod.CPU_MEM_BYTES,
         fsm_variant="peregrine",
     )
 )

@@ -22,12 +22,15 @@ class TimeoutError_(RuntimeError):
 
 @dataclass
 class CellResult:
-    """Outcome of one evaluation cell: a value, or a TO/OoM marker."""
+    """Outcome of one evaluation cell: a value, or a TO/OoM marker, plus
+    the cell ledger's peak and the structure that tripped an OoM."""
 
     status: str  # "ok" | "TO" | "OoM"
     value: Any = None
     seconds: float = 0.0
     detail: str = ""
+    peak_bytes: int = 0
+    oom_what: str = ""
 
 
 def run_with_timeout(

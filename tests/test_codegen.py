@@ -128,12 +128,6 @@ def test_pattern_sql_non_induced_has_no_anti():
     assert "NOT EXISTS" not in codegen.pattern_sql(plan)
 
 
-def test_pattern_sql_rejects_k1():
-    plan = build_plan(clique(3), induced=False)
-    with pytest.raises(ValueError):
-        codegen.pattern_sql(plan, limit_level=1)
-
-
 @pytest.mark.parametrize("name", ["tiny_skew", "tiny_dense"])
 def test_kernels_on_other_graphs(name):
     e, _ = generate_graph(name)

@@ -13,8 +13,6 @@ from repro.graph.csr import build_csr
 from repro.graph.gen import adj_pdf, generate_graph
 from repro.oracle import assert_equivalent
 
-BIG = 1 << 40
-
 
 @pytest.fixture(scope="module")
 def g():
@@ -24,7 +22,7 @@ def g():
 
 @pytest.fixture(scope="module")
 def engine():
-    return DFSEngine(DFSConfig(memory_budget=BIG))
+    return DFSEngine(DFSConfig())
 
 
 # -- conversion matrix ---------------------------------------------------
@@ -63,7 +61,7 @@ def test_induced_conversion_exact_above_2_53():
 
 def test_count3_counting_only_equals_enumeration(spark, g, engine):
     fast = counting.count3_counting_only(spark, g, engine=engine)
-    slow = count_motifs(spark, g, 3, DFSEngine(DFSConfig(memory_budget=BIG)))
+    slow = count_motifs(spark, g, 3, DFSEngine(DFSConfig()))
     assert fast == slow
 
 
@@ -71,9 +69,9 @@ def test_count3_counting_only_equals_enumeration(spark, g, engine):
 def test_count4_counting_only_equals_enumeration(spark, name):
     e, _ = generate_graph(name)
     gg = build_csr(e)
-    eng = DFSEngine(DFSConfig(memory_budget=BIG))
+    eng = DFSEngine(DFSConfig())
     fast = counting.count4_counting_only(spark, gg, engine=eng)
-    slow = count_motifs(spark, gg, 4, DFSEngine(DFSConfig(memory_budget=BIG)))
+    slow = count_motifs(spark, gg, 4, DFSEngine(DFSConfig()))
     assert fast == slow
 
 

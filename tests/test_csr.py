@@ -121,17 +121,3 @@ def test_local_graph_empty():
     g2 = build_csr(e)
     A = g2.local_graph(np.array([], dtype=np.int64))
     assert A.shape == (0, 0)
-
-
-# -- label info ----------------------------------------------------------
-
-def test_label_frequency():
-    e, lab = generate_graph("tiny_labeled")
-    g2 = build_csr(e, labels=lab)
-    freq = g2.label_frequency()
-    assert sum(freq.values()) == g2.n
-    assert g2.nbytes() > build_csr(e).nbytes()
-
-
-def test_label_frequency_empty_for_unlabeled(g):
-    assert g.label_frequency() == {}

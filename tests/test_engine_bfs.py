@@ -12,6 +12,7 @@ from repro.core.plan import build_plan
 from repro.graph.csr import build_csr
 from repro.graph.gen import adj_pdf, generate_graph
 from repro.oracle import assert_equivalent
+from repro.systems import pangolin
 
 BIG = 1 << 40
 
@@ -45,27 +46,26 @@ IDS = [f"{p.name}-{'vi' if i else 'ei'}" for p, i in CASES]
 
 @pytest.mark.parametrize("p,induced", CASES, ids=IDS)
 def test_pangolin_mode_matches_oracle(spark, g, adj, p, induced):
-    check(spark, g, adj, BFSEngine(BFSConfig(memory_budget=BIG)), p, induced)
+    check(spark, g, adj, BFSEngine(BFSConfig()), p, induced)
 
 
 @pytest.mark.parametrize("p,induced", CASES[:5], ids=IDS[:5])
 def test_pbe_mode_matches_oracle(spark, g, adj, p, induced):
     eng = BFSEngine(
-        BFSConfig(materialize=False, adj_partitions=3, orientation=False,
-                  memory_budget=BIG)
+        BFSConfig(materialize=False, adj_partitions=3, orientation=False)
     )
     check(spark, g, adj, eng, p, induced)
 
 
 def test_bfs_equals_dfs(spark, g):
-    bfs = BFSEngine(BFSConfig(memory_budget=BIG))
-    dfs = DFSEngine(DFSConfig(memory_budget=BIG))
+    bfs = BFSEngine(BFSConfig())
+    dfs = DFSEngine(DFSConfig())
     for p in [clique(4), diamond()]:
         assert bfs.count(spark, g, p) == dfs.count(spark, g, p)
 
 
 def test_orientation_off_matches(spark, g, adj):
-    eng = BFSEngine(BFSConfig(orientation=False, memory_budget=BIG))
+    eng = BFSEngine(BFSConfig(orientation=False))
     check(spark, g, adj, eng, clique(4))
 
 
@@ -73,28 +73,36 @@ def test_pangolin_oom_on_materialised_level(spark, g):
     # Budget big enough for the graph structures but not the triangle
     # subgraph list of a 4-clique run.
     base = g.orient().nbytes() + g.nbytes() + g.orient().edge_tasks("all").nbytes
-    eng = BFSEngine(BFSConfig(memory_budget=base + 1024))
+    meter = memmod.MemoryMeter(base + 1024)
     with pytest.raises(memmod.OutOfMemoryError):
-        eng.count(spark, g, clique(4))
+        BFSEngine(BFSConfig()).count(spark, g, clique(4), meter=meter)
 
 
 def test_pangolin_k3_needs_no_intermediate(spark, g):
     # k = 3 has no intermediate level, so the same tight budget passes.
     base = g.orient().nbytes() + g.nbytes() + g.orient().edge_tasks("all").nbytes
-    eng = BFSEngine(BFSConfig(memory_budget=base + 1024))
-    assert eng.count(spark, g, clique(3)) > 0
+    meter = memmod.MemoryMeter(base + 1024)
+    assert BFSEngine(BFSConfig()).count(spark, g, clique(3), meter=meter) > 0
 
 
 def test_pbe_never_oom_with_block_streaming(spark, g):
     base = g.nbytes() + g.edge_tasks("all").nbytes
-    eng = BFSEngine(
-        BFSConfig(materialize=False, adj_partitions=3, orientation=False,
-                  memory_budget=base + (1 << 18))
-    )
-    assert eng.count(spark, g, clique(4)) > 0
+    eng = BFSEngine(BFSConfig(materialize=False, adj_partitions=3, orientation=False))
+    assert eng.count(spark, g, clique(4), meter=memmod.MemoryMeter(base + (1 << 18))) > 0
+
+
+def test_pangolin_tc_oom_at_csr_symmetric_leaves_no_bytes(spark, g):
+    """Pangolin TC's OoM frontier trips at the symmetric CSR it keeps next
+    to the DAG (Tw4 in Table 4); the caller's ledger must end empty."""
+    dag = g.orient()
+    meter = memmod.MemoryMeter(dag.nbytes() + dag.edge_tasks("all").nbytes)
+    with pytest.raises(memmod.OutOfMemoryError) as e:
+        pangolin.make_engine().count(spark, g, clique(3), meter=meter)
+    assert e.value.what == "csr_symmetric"
+    assert meter.resident == 0 and meter.ledger == {}
 
 
 def test_meter_released(spark, g):
     meter = memmod.MemoryMeter(BIG)
-    BFSEngine(BFSConfig(memory_budget=BIG)).count(spark, g, clique(4), meter=meter)
+    BFSEngine(BFSConfig()).count(spark, g, clique(4), meter=meter)
     assert meter.resident == 0 and meter.peak > 0

@@ -46,12 +46,12 @@ VI = [(p, True) for p in motifs(3) + motifs(4)]
 @pytest.mark.parametrize("p,induced", EI + VI,
                          ids=[f"{p.name}-{'vi' if i else 'ei'}" for p, i in EI + VI])
 def test_default_engine_matches_oracle(spark, g, adj, p, induced):
-    check(spark, g, adj, DFSEngine(DFSConfig(memory_budget=BIG)), p, induced)
+    check(spark, g, adj, DFSEngine(DFSConfig()), p, induced)
 
 
 @pytest.mark.parametrize("p", [clique(3), clique(4), diamond()], ids=lambda p: p.name)
 def test_vertex_parallel_matches_oracle(spark, g, adj, p):
-    eng = DFSEngine(DFSConfig(parallelism="vertex", memory_budget=BIG))
+    eng = DFSEngine(DFSConfig(parallelism="vertex"))
     check(spark, g, adj, eng, p)
 
 
@@ -59,46 +59,54 @@ def test_vertex_parallel_matches_oracle(spark, g, adj, p):
 def test_python_backend_matches_oracle(spark, g, adj, p):
     eng = DFSEngine(
         DFSConfig(parallelism="vertex", setops="python", orientation=False,
-                  lgs=False, memory_budget=BIG)
+                  lgs=False)
     )
     check(spark, g, adj, eng, p)
 
 
 @pytest.mark.parametrize("k", [4, 5])
 def test_lgs_equals_plain(spark, g, k):
-    on = DFSEngine(DFSConfig(lgs=True, memory_budget=BIG))
-    off = DFSEngine(DFSConfig(lgs=False, memory_budget=BIG))
+    on = DFSEngine(DFSConfig(lgs=True))
+    off = DFSEngine(DFSConfig(lgs=False))
     assert on.count(spark, g, clique(k)) == off.count(spark, g, clique(k))
 
 
 def test_lgs_delta_threshold_falls_back(spark, g, adj):
-    eng = DFSEngine(DFSConfig(lgs=True, lgs_delta_threshold=1, memory_budget=BIG))
+    eng = DFSEngine(DFSConfig(lgs=True, lgs_delta_threshold=1))
     check(spark, g, adj, eng, clique(4))
 
 
 def test_orientation_off_matches(spark, g, adj):
-    eng = DFSEngine(DFSConfig(orientation=False, lgs=False, memory_budget=BIG))
+    eng = DFSEngine(DFSConfig(orientation=False, lgs=False))
     check(spark, g, adj, eng, clique(4))
 
 
 def test_no_edgelist_reduction_matches(spark, g, adj):
     eng = DFSEngine(
-        DFSConfig(orientation=False, lgs=False, edgelist_reduction=False,
-                  memory_budget=BIG)
+        DFSConfig(orientation=False, lgs=False, edgelist_reduction=False)
     )
     check(spark, g, adj, eng, diamond())
 
 
 def test_no_chunked_schedule_matches(spark, g):
-    a = DFSEngine(DFSConfig(chunked_schedule=False, memory_budget=BIG))
-    b = DFSEngine(DFSConfig(chunked_schedule=True, memory_budget=BIG))
+    a = DFSEngine(DFSConfig(chunked_schedule=False))
+    b = DFSEngine(DFSConfig(chunked_schedule=True))
     assert a.count(spark, g, clique(3)) == b.count(spark, g, clique(3))
 
 
 def test_oom_raised_on_tiny_budget(spark, g):
-    eng = DFSEngine(DFSConfig(memory_budget=64))
     with pytest.raises(memmod.OutOfMemoryError):
-        eng.count(spark, g, clique(3))
+        DFSEngine(DFSConfig()).count(spark, g, clique(3), meter=memmod.MemoryMeter(64))
+
+
+def test_oom_at_csr_charge_leaves_no_bytes(spark, g):
+    """The first charge can trip too; the caller's ledger must still end
+    empty."""
+    meter = memmod.MemoryMeter(64)
+    with pytest.raises(memmod.OutOfMemoryError) as e:
+        DFSEngine(DFSConfig()).count(spark, g, clique(3), meter=meter)
+    assert e.value.what == "csr"
+    assert meter.resident == 0 and meter.ledger == {}
 
 
 def test_meter_released_after_run(spark, g):
@@ -175,13 +183,13 @@ def test_engine_pass_is_one_spark_job(spark, count_jobs, make, k):
 
 
 def test_last_ops_populated(spark, g):
-    eng = DFSEngine(DFSConfig(memory_budget=BIG))
+    eng = DFSEngine(DFSConfig())
     eng.count(spark, g, clique(3))
     assert eng.last_ops > 0
 
 
 def test_per_task_costs_shape(spark, g):
-    eng = DFSEngine(DFSConfig(memory_budget=BIG))
+    eng = DFSEngine(DFSConfig())
     costs = eng.per_task_costs(spark, g, clique(3))
     assert len(costs) == g.num_edges
     assert (costs >= 1).all()
@@ -212,6 +220,6 @@ def test_local_clique_count_known():
 
 
 def test_count_df_schema(spark, g):
-    df = DFSEngine(DFSConfig(memory_budget=BIG)).count_df(spark, g, clique(3))
+    df = DFSEngine(DFSConfig()).count_df(spark, g, clique(3))
     assert df.columns == ["cnt"]
     assert df.count() == 1

@@ -89,6 +89,14 @@ def test_distgraph_oom_on_tiny_budget(spark, csr):
                     meter=memmod.MemoryMeter(4096))
 
 
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_oom_leaves_no_bytes(spark, csr, variant):
+    meter = memmod.MemoryMeter(4096)
+    with pytest.raises(memmod.OutOfMemoryError):
+        fsmmod.fsm3(spark, csr, 3, variant=variant, meter=meter)
+    assert meter.resident == 0 and meter.ledger == {}
+
+
 def test_label_pruning_is_lossless(spark, csr):
     """Opt N must not change results: g2miner (prunes) vs pangolin (not)."""
     a = fsmmod.fsm3(spark, csr, 12, variant="g2miner",

@@ -5,10 +5,20 @@ import time
 
 import pytest
 
+from repro import memory as memmod
 from repro import paper_numbers as paper
 from repro.graph import gen
-from repro.harness import fmt_cell, fmt_paper, get_csr, run_cell, run_table, sl_pattern
+from repro.harness import (
+    fmt_cell, fmt_paper, get_csr, run_cell, run_table, sl_pattern, workload_name,
+)
+from repro.systems import SYSTEMS
 from repro.timeout import CellResult
+
+#: One workload of every kind, sized for the test graphs.
+WORKLOADS = [("tc",), ("kcl", 4), ("sl", "diamond"), ("mc", 3), ("fsm", 3),
+             ("counting", "4-motif")]
+#: Every system x every workload kind it supports.
+CELLS = [(s, w) for s in sorted(SYSTEMS) for w in WORKLOADS if w[0] in SYSTEMS[s].supports]
 
 
 def _alias(monkeypatch, graph: str, alias: str) -> None:
@@ -110,6 +120,37 @@ def test_fsm_cells_generate_their_graph_once(spark, monkeypatch):
         r = run_cell(spark, system, ("fsm", 3), "tiny_labeled_once", timeout_s=60)
         assert r.status == "ok" and r.value > 0
     assert calls == ["tiny_labeled_once"]
+
+
+@pytest.mark.parametrize("tiny_budget", [False, True], ids=["ok", "OoM"])
+@pytest.mark.parametrize("system,workload", CELLS,
+                         ids=lambda v: v if isinstance(v, str) else workload_name(v))
+def test_cell_ledger_ends_empty(spark, monkeypatch, system, workload, tiny_budget):
+    """``run_cell`` opens one ledger of the system's budget per cell; on the
+    ok and the OoM path it ends with 0 bytes resident, and the cell result
+    carries its peak and the structure that tripped."""
+    meters = []
+
+    class Recorded(memmod.MemoryMeter):
+        def __init__(self, *args):
+            super().__init__(*args)
+            meters.append(self)
+
+    monkeypatch.setattr(memmod, "MemoryMeter", Recorded)
+    if tiny_budget:
+        tiny = dataclasses.replace(SYSTEMS[system], memory_budget=64)
+        monkeypatch.setitem(SYSTEMS, system, tiny)
+    graph = "tiny_labeled" if workload[0] == "fsm" else "tiny"
+    r = run_cell(spark, system, workload, graph, timeout_s=60)
+    (meter,) = meters
+    assert meter.budget == SYSTEMS[system].memory_budget
+    assert meter.resident == 0 and meter.ledger == {}
+    assert r.peak_bytes == meter.peak > 0
+    if tiny_budget:
+        assert r.status == "OoM"
+        assert r.oom_what == ("graph" if workload[0] == "fsm" else "csr")
+    else:
+        assert r.status == "ok" and r.oom_what == ""
 
 
 def test_fmt_helpers():

@@ -15,8 +15,6 @@ from repro.graph.csr import build_csr
 from repro.graph.gen import adj_pdf, generate_graph
 from repro.oracle import assert_equivalent
 
-BIG = 1 << 40
-
 
 @pytest.fixture(scope="module")
 def g():
@@ -46,14 +44,14 @@ def brute_connected_subsets(g, k):
 
 @pytest.mark.parametrize("k", [3, 4])
 def test_motif_counts_partition_connected_subsets(spark, g, k):
-    eng = DFSEngine(DFSConfig(memory_budget=BIG))
+    eng = DFSEngine(DFSConfig())
     out = count_motifs(spark, g, k, eng)
     assert len(out) == (2 if k == 3 else 6)
     assert sum(out.values()) == brute_connected_subsets(g, k)
 
 
 def test_motif_names_match_fig3(spark, g):
-    eng = DFSEngine(DFSConfig(memory_budget=BIG))
+    eng = DFSEngine(DFSConfig())
     out = count_motifs(spark, g, 4, eng)
     assert set(out) == {
         "4-path", "3-star", "tailed-triangle", "4-cycle", "diamond", "4-clique"
@@ -62,13 +60,13 @@ def test_motif_names_match_fig3(spark, g):
 
 @pytest.mark.parametrize("k", [3, 4])
 def test_motifs_bfs_equals_dfs(spark, g, k):
-    dfs = count_motifs(spark, g, k, DFSEngine(DFSConfig(memory_budget=BIG)))
-    bfs = count_motifs(spark, g, k, BFSEngine(BFSConfig(memory_budget=BIG)))
+    dfs = count_motifs(spark, g, k, DFSEngine(DFSConfig()))
+    bfs = count_motifs(spark, g, k, BFSEngine(BFSConfig()))
     assert dfs == bfs
 
 
 def test_each_motif_matches_oracle(spark, g):
-    eng = DFSEngine(DFSConfig(memory_budget=BIG))
+    eng = DFSEngine(DFSConfig())
     adj = adj_pdf("tiny")
     for p in motifs(3):
         df = eng.count_df(spark, g, p, induced=True)

@@ -1,11 +1,14 @@
 """The benchmark tracer (``perfbench/spans.py``) patches the program's
 names from outside. A refactor that renames or moves one must fail here,
 not crash ``perfbench/run.py --trace 1``."""
+import dataclasses
 import importlib.util
 import os
 import sys
 
-from repro import harness
+import pytest
+
+from repro import harness, memory
 from repro.systems import SYSTEMS
 
 PERFBENCH = os.path.join(os.path.dirname(__file__), "..", "perfbench")
@@ -48,3 +51,36 @@ def test_cell_body_is_second_positional_argument(monkeypatch):
     assert harness.run_cell(None, "G2Miner", ("tc",), "tiny").status == "ok"
     (args,) = seen
     assert len(args) >= 2 and callable(args[1])
+
+
+def test_ledger_hook_names_resolve():
+    """The tracer wraps ``MemoryMeter.alloc`` on the class and reads
+    ``OutOfMemoryError.what`` and ``.meter.peak``; if one moved,
+    ``memory.ledger_peak_bytes`` would silently read 0."""
+    assert "alloc" in memory.MemoryMeter.__dict__
+    meter = memory.MemoryMeter(10)
+    with pytest.raises(memory.OutOfMemoryError) as e:
+        meter.alloc("x", 11)
+    assert e.value.what == "x" and e.value.meter.peak == 11
+
+
+@pytest.mark.parametrize("budget", [None, 64], ids=["ok", "OoM"])
+def test_traced_cell_charges_through_alloc(spark, monkeypatch, budget):
+    """Under the tracer (``--trace 1``), a cell's charges reach the wrapped
+    ``MemoryMeter.alloc``: the traced peak and OoM structure are the cell's."""
+    spans = _load("spans")
+    if budget is not None:
+        monkeypatch.setitem(SYSTEMS, "G2Miner",
+                            dataclasses.replace(SYSTEMS["G2Miner"], memory_budget=budget))
+    tracer = spans.Tracer(spark)
+    tracer.install()
+    try:
+        tracer.begin("tc", "test", True)
+        r = harness.run_cell(spark, "G2Miner", ("tc",), "tiny", timeout_s=60)
+        q = tracer.end()
+    finally:
+        tracer.uninstall()
+    assert "alloc" in memory.MemoryMeter.__dict__
+    assert r.status == ("ok" if budget is None else "OoM")
+    assert q.ledger_peak == r.peak_bytes > 0
+    assert q.oom_what == r.oom_what

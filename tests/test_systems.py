@@ -58,16 +58,14 @@ def test_all_systems_agree_on_counts(spark, p):
     g = build_csr(e)
     counts = {}
     for name in ["G2Miner", "Pangolin", "PBE", "Peregrine", "GraphZero"]:
-        eng = SYSTEMS[name].make_engine()
-        eng.cfg.memory_budget = 1 << 40
-        counts[name] = eng.count(spark, g, p)
+        counts[name] = SYSTEMS[name].make_engine().count(spark, g, p)
     assert len(set(counts.values())) == 1, counts
 
 
 def test_g2miner_uses_gpu_budget():
     from repro import memory as memmod
 
-    eng = SYSTEMS["G2Miner"].make_engine()
-    assert eng.cfg.memory_budget == memmod.GPU_MEM_BYTES
-    eng = SYSTEMS["Peregrine"].make_engine()
-    assert eng.cfg.memory_budget == memmod.CPU_MEM_BYTES
+    gpu = {n for n, s in SYSTEMS.items() if s.memory_budget == memmod.GPU_MEM_BYTES}
+    cpu = {n for n, s in SYSTEMS.items() if s.memory_budget == memmod.CPU_MEM_BYTES}
+    assert gpu == {"G2Miner", "Pangolin", "PBE"}
+    assert cpu == {"Peregrine", "GraphZero", "DistGraph"}
